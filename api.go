@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 
 	"repro/internal/band"
@@ -177,8 +176,9 @@ type Options struct {
 	// Mode is the labeling predicate; empty means the entry point's native
 	// mode (ModeBinary for Label/LabelInto/LabelIntoCtx).
 	Mode Mode
-	// Threads used by AlgPAREMSP (default: all CPUs). Ignored by the
-	// sequential algorithms.
+	// Threads used by the parallel algorithms — AlgPAREMSP, AlgPBREMSP and
+	// the parallel gray and volume labelers (default: all CPUs). Ignored by
+	// the sequential algorithms.
 	Threads int
 	// Connectivity: 8 (default) or 4. Only AlgClassic, AlgMultiPass and
 	// AlgFloodFill support 4-connectivity; the paper's algorithms are
@@ -274,73 +274,14 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 		err error
 	)
 	res := &Result{}
-	switch alg {
-	case AlgPAREMSP:
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		copt := core.Options{Threads: threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
+	if f, ok := imageLabelers[alg]; ok {
 		if dst == nil {
 			dst = &LabelMap{}
 		}
-		var times core.PhaseTimes
-		n, times, err = core.PAREMSPTimedIntoCtx(ctx, img, dst, sc, copt)
+		n, res.Phases, err = f(ctx, img, dst, sc, coreOptions(opt))
 		lm = dst
-		res.Phases = times
-	case AlgAREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.AREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
-	case AlgCCLREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.CCLREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
-	case AlgBREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.BREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
-	case AlgPBREMSP:
-		copt := core.Options{Threads: opt.Threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		var times core.PhaseTimes
-		n, times, err = core.PBREMSPTimedIntoCtx(ctx, img, dst, sc, copt)
-		lm = dst
-		res.Phases = times
-	case AlgCCLLRPC:
-		lm, n = baseline.CCLLRPC(img)
-	case AlgARUN:
-		lm, n = baseline.ARUN(img)
-	case AlgRUN:
-		lm, n = baseline.RUN(img)
-	case AlgClassic:
-		if conn == 4 {
-			lm, n = baseline.Classic4(img)
-		} else {
-			lm, n = baseline.Classic8(img)
-		}
-	case AlgMultiPass:
-		lm, n = baseline.MultiPass(img, baseline.Connectivity(conn))
-	case AlgSuzuki:
-		lm, n = baseline.Suzuki(img, baseline.Connectivity(conn))
-	case AlgFloodFill:
-		lm, n = baseline.FloodFill(img, baseline.Connectivity(conn))
-	default:
-		return nil, fmt.Errorf("paremsp: unknown algorithm %q", alg)
+	} else {
+		lm, n, err = labelBaseline(img, alg, conn)
 	}
 	if err != nil {
 		return nil, err
@@ -360,6 +301,64 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	res.Labels = lm
 	res.NumComponents = n
 	return res, nil
+}
+
+// imageLabelers maps each cancelable, buffer-reusing algorithm to its core
+// entry point.
+var imageLabelers = map[Algorithm]func(context.Context, *Image, *LabelMap, *Scratch, core.Options) (int, PhaseTimes, error){
+	AlgPAREMSP:  core.PAREMSP,
+	AlgAREMSP:   core.AREMSP,
+	AlgCCLREMSP: core.CCLREMSP,
+	AlgBREMSP:   core.BREMSP,
+	AlgPBREMSP:  core.PBREMSP,
+}
+
+// bitmapLabelers maps each bit-packed algorithm to its core entry point over
+// a packed raster.
+var bitmapLabelers = map[Algorithm]func(context.Context, *Bitmap, *LabelMap, *Scratch, core.Options) (int, PhaseTimes, error){
+	AlgBREMSP:  core.BREMSPBitmap,
+	AlgPBREMSP: core.PBREMSPBitmap,
+}
+
+// coreOptions translates the options the parallel core algorithms read.
+func coreOptions(opt Options) core.Options {
+	copt := core.Options{Threads: opt.Threads}
+	if opt.UseCASMerger {
+		copt.Merger = core.MergerCAS
+	}
+	return copt
+}
+
+// labelBaseline runs one of the baseline algorithms, which label into a
+// fresh map of their own and are not cancelable.
+func labelBaseline(img *Image, alg Algorithm, conn int) (*LabelMap, int, error) {
+	var (
+		lm *LabelMap
+		n  int
+	)
+	switch alg {
+	case AlgCCLLRPC:
+		lm, n = baseline.CCLLRPC(img)
+	case AlgARUN:
+		lm, n = baseline.ARUN(img)
+	case AlgRUN:
+		lm, n = baseline.RUN(img)
+	case AlgClassic:
+		if conn == 4 {
+			lm, n = baseline.Classic4(img)
+		} else {
+			lm, n = baseline.Classic8(img)
+		}
+	case AlgMultiPass:
+		lm, n = baseline.MultiPass(img, baseline.Connectivity(conn))
+	case AlgSuzuki:
+		lm, n = baseline.Suzuki(img, baseline.Connectivity(conn))
+	case AlgFloodFill:
+		lm, n = baseline.FloodFill(img, baseline.Connectivity(conn))
+	default:
+		return nil, 0, fmt.Errorf("paremsp: unknown algorithm %q", alg)
+	}
+	return lm, n, nil
 }
 
 // LabelBitmap runs a bit-packed algorithm directly over a packed bitmap.
@@ -392,30 +391,19 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	if opt.Connectivity != 0 && opt.Connectivity != 8 {
 		return nil, fmt.Errorf("paremsp: algorithm %q supports only 8-connectivity", alg)
 	}
-	if dst == nil {
-		dst = &LabelMap{}
-	}
-	res := &Result{Labels: dst}
-	var err error
-	switch alg {
-	case AlgBREMSP:
-		res.NumComponents, err = core.BREMSPBitmapIntoCtx(ctx, bm, dst, sc)
-	case AlgPBREMSP:
-		copt := core.Options{Threads: opt.Threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
-		var times core.PhaseTimes
-		res.NumComponents, times, err = core.PBREMSPBitmapTimedIntoCtx(ctx, bm, dst, sc, copt)
-		res.Phases = times
-	default:
+	f, ok := bitmapLabelers[alg]
+	if !ok {
 		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q or %q)",
 			alg, AlgBREMSP, AlgPBREMSP)
 	}
+	if dst == nil {
+		dst = &LabelMap{}
+	}
+	n, phases, err := f(ctx, bm, dst, sc, coreOptions(opt))
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Result{Labels: dst, NumComponents: n, Phases: phases}, nil
 }
 
 // StreamOptions configures LabelStream.
@@ -492,7 +480,7 @@ const (
 
 // JobStoreOptions configures the service's asynchronous job store: the
 // backend (Backend "memory" — the default — keeps everything in sharded
-// in-process maps; "sqlite" journals job metadata and persists result
+// in-process maps; "disk" journals job metadata and persists result
 // blobs under Dir so finished jobs survive a restart and interrupted ones
 // are recovered), the number of mutex-sharded job maps, how long finished
 // results are retained before the background sweeper evicts them, and the
@@ -503,7 +491,7 @@ type JobStoreOptions = jobs.Options
 // Job store backends for JobStoreOptions.Backend.
 const (
 	JobStoreMemory = jobs.BackendMemory
-	JobStoreSQLite = jobs.BackendSQLite
+	JobStoreDisk   = jobs.BackendDisk
 )
 
 // JobKey derives the job API's deduplication key (which doubles as the job
@@ -576,7 +564,8 @@ func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level 
 // CountComponents labels img with AREMSP and returns only the component
 // count.
 func CountComponents(img *Image) int {
-	_, n := core.AREMSP(img)
+	// The context never cancels, so AREMSP cannot fail.
+	n, _, _ := core.AREMSP(context.TODO(), img, &LabelMap{}, nil, core.Options{})
 	return n
 }
 

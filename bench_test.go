@@ -11,6 +11,7 @@ package paremsp_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -97,7 +98,7 @@ func BenchmarkTable4(b *testing.B) {
 				b.SetBytes(pixels(imgs))
 				for i := 0; i < b.N; i++ {
 					for _, img := range imgs {
-						core.PAREMSP(img, threads)
+						label(core.PAREMSP, img, threads)
 					}
 				}
 			})
@@ -116,7 +117,7 @@ func BenchmarkFig4(b *testing.B) {
 			b.SetBytes(pixels(imgs))
 			for i := 0; i < b.N; i++ {
 				for _, img := range imgs {
-					core.AREMSP(img)
+					label(core.AREMSP, img, 0)
 				}
 			}
 		})
@@ -125,7 +126,7 @@ func BenchmarkFig4(b *testing.B) {
 				b.SetBytes(pixels(imgs))
 				for i := 0; i < b.N; i++ {
 					for _, img := range imgs {
-						core.PAREMSP(img, threads)
+						label(core.PAREMSP, img, threads)
 					}
 				}
 			})
@@ -145,7 +146,7 @@ func BenchmarkFig5(b *testing.B) {
 				b.SetBytes(int64(len(img.Pix)))
 				var scanNs, mergeNs float64
 				for i := 0; i < b.N; i++ {
-					_, _, times := core.PAREMSPTimed(img, core.Options{Threads: threads})
+					_, _, times := labelOpt(core.PAREMSP, img, core.Options{Threads: threads})
 					scanNs += float64(times.Scan.Nanoseconds())
 					mergeNs += float64(times.Merge.Nanoseconds())
 				}
@@ -166,7 +167,7 @@ func BenchmarkAblationUnionFind(b *testing.B) {
 	b.Run("pairscan/remsp", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
-			core.AREMSP(img)
+			label(core.AREMSP, img, 0)
 		}
 	})
 	b.Run("pairscan/rankpc", func(b *testing.B) {
@@ -174,7 +175,7 @@ func BenchmarkAblationUnionFind(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lm := binimg.NewLabelMap(img.Width, img.Height)
 			sink := baseline.NewRankPCSink(scan.MaxProvisionalLabels(img.Width, img.Height))
-			scan.PairRows(img, lm, sink, 0, img.Height)
+			scan.PairRows(img, lm, sink, 0, img.Height, nil)
 			sink.Flatten()
 			for j, v := range lm.L {
 				if v != 0 {
@@ -200,13 +201,13 @@ func BenchmarkAblationScan(b *testing.B) {
 	b.Run("pairscan", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
-			core.AREMSP(img)
+			label(core.AREMSP, img, 0)
 		}
 	})
 	b.Run("decisiontree", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
-			core.CCLREMSP(img)
+			label(core.CCLREMSP, img, 0)
 		}
 	})
 	b.Run("allneighbors", func(b *testing.B) {
@@ -216,12 +217,7 @@ func BenchmarkAblationScan(b *testing.B) {
 			sink := core.NewRemSink(scan.MaxProvisionalLabels(img.Width, img.Height))
 			scan.AllNeighbors8(img, lm, sink, 0, img.Height)
 			unionfind.Flatten(sink.Parents(), sink.Count())
-			p := sink.Parents()
-			for j, v := range lm.L {
-				if v != 0 {
-					lm.L[j] = p[v]
-				}
-			}
+			unionfind.Relabel(lm.L, sink.Parents(), img.Width, nil)
 		}
 	})
 }
@@ -235,7 +231,7 @@ func BenchmarkAblationMerger(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PAREMSPTimed(img, core.Options{Threads: 24, Merger: kind})
+				labelOpt(core.PAREMSP, img, core.Options{Threads: 24, Merger: kind})
 			}
 		})
 	}
@@ -254,7 +250,7 @@ func BenchmarkAblationBoundary(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PAREMSPTimed(img, core.Options{Threads: 24, SequentialBoundary: seq})
+				labelOpt(core.PAREMSP, img, core.Options{Threads: 24, SequentialBoundary: seq})
 			}
 		})
 	}
@@ -273,7 +269,7 @@ func BenchmarkAblationRelabel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PAREMSPTimed(img, core.Options{Threads: 24, SequentialRelabel: seq})
+				labelOpt(core.PAREMSP, img, core.Options{Threads: 24, SequentialRelabel: seq})
 			}
 		})
 	}
@@ -287,7 +283,7 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 	b.Run("rows=24", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
-			core.PAREMSP(img, 24)
+			label(core.PAREMSP, img, 24)
 		}
 	})
 	for _, grid := range [][2]int{{4, 6}, {6, 4}, {24, 1}, {1, 24}} {
@@ -310,7 +306,7 @@ func BenchmarkAblationLockStripes(b *testing.B) {
 		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PAREMSPTimed(img, core.Options{Threads: 24, LockStripes: stripes})
+				labelOpt(core.PAREMSP, img, core.Options{Threads: 24, LockStripes: stripes})
 			}
 		})
 	}
@@ -453,7 +449,7 @@ func BenchmarkLabelInto(b *testing.B) {
 func BenchmarkBitScan(b *testing.B) {
 	seqAlgs := []struct {
 		name string
-		run  func(*binimg.Image) (*binimg.LabelMap, int)
+		run  coreFunc
 	}{
 		{"cclremsp", core.CCLREMSP},
 		{"aremsp", core.AREMSP},
@@ -464,7 +460,7 @@ func BenchmarkBitScan(b *testing.B) {
 		b.Run("landcover1024/"+alg.name, func(b *testing.B) {
 			b.SetBytes(int64(len(land.Pix)))
 			for i := 0; i < b.N; i++ {
-				alg.run(land)
+				label(alg.run, land, 0)
 			}
 		})
 	}
@@ -474,7 +470,7 @@ func BenchmarkBitScan(b *testing.B) {
 			b.Run(fmt.Sprintf("noise/density=%.2f/%s", density, alg.name), func(b *testing.B) {
 				b.SetBytes(int64(len(img.Pix)))
 				for i := 0; i < b.N; i++ {
-					alg.run(img)
+					label(alg.run, img, 0)
 				}
 			})
 		}
@@ -483,13 +479,13 @@ func BenchmarkBitScan(b *testing.B) {
 		b.Run(fmt.Sprintf("landcover1024/paremsp/threads=%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(len(land.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PAREMSP(land, threads)
+				label(core.PAREMSP, land, threads)
 			}
 		})
 		b.Run(fmt.Sprintf("landcover1024/pbremsp/threads=%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(len(land.Pix)))
 			for i := 0; i < b.N; i++ {
-				core.PBREMSP(land, threads)
+				label(core.PBREMSP, land, threads)
 			}
 		})
 	}
@@ -505,7 +501,7 @@ func BenchmarkBitScanPhases(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			var scanNs float64
 			for i := 0; i < b.N; i++ {
-				_, _, times := core.PAREMSPTimed(img, core.Options{Threads: threads})
+				_, _, times := labelOpt(core.PAREMSP, img, core.Options{Threads: threads})
 				scanNs += float64(times.Scan.Nanoseconds())
 			}
 			b.ReportMetric(scanNs/float64(b.N), "local-ns/op")
@@ -514,7 +510,7 @@ func BenchmarkBitScanPhases(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			var scanNs float64
 			for i := 0; i < b.N; i++ {
-				_, _, times := core.PBREMSPTimed(img, core.Options{Threads: threads})
+				_, _, times := labelOpt(core.PBREMSP, img, core.Options{Threads: threads})
 				scanNs += float64(times.Scan.Nanoseconds())
 			}
 			b.ReportMetric(scanNs/float64(b.N), "local-ns/op")
@@ -550,4 +546,24 @@ func BenchmarkP4Ingest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// coreFunc is the signature shared by core's image entry points.
+type coreFunc = func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error)
+
+// label runs alg over img into fresh buffers with a context that never
+// cancels.
+func label(alg coreFunc, img *binimg.Image, threads int) (*binimg.LabelMap, int) {
+	lm, n, _ := labelOpt(alg, img, core.Options{Threads: threads})
+	return lm, n
+}
+
+// labelOpt is label with explicit options, also returning the phase times.
+func labelOpt(alg coreFunc, img *binimg.Image, opt core.Options) (*binimg.LabelMap, int, core.PhaseTimes) {
+	lm := &binimg.LabelMap{}
+	n, times, err := alg(context.Background(), img, lm, nil, opt)
+	if err != nil {
+		panic(err)
+	}
+	return lm, n, times
 }

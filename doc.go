@@ -139,10 +139,9 @@
 // The job store has two backends behind one interface pair (job metadata
 // and result blobs). The default, ccserve -job-store=memory, keeps both in
 // process memory: fastest, nothing survives a restart, and -job-max-bytes
-// overflow evicts the oldest finished jobs. -job-store=sqlite (with
+// overflow evicts the oldest finished jobs. -job-store=disk (with
 // -job-dir) is the durable pair: job metadata is journaled to a
-// write-ahead log (a fsynced, crash-truncating JSONL journal — no SQLite
-// driver is linked; the name selects the durability semantics) and result
+// write-ahead log (a fsynced, crash-truncating JSONL journal) and result
 // blobs plus pending inputs live as content-addressed files under
 // -job-dir, so -job-max-bytes overflow spills result payloads to disk
 // instead of evicting them. The store directory is flock-ed exclusively
@@ -166,12 +165,14 @@
 // # Operational guarantees
 //
 // The service's request lifecycle is fault-tolerant end to end. Every
-// algorithm has a context-aware entry point (LabelIntoCtx, LabelBitmapIntoCtx,
-// StreamOptions.Ctx) that polls ctx.Done() once per 64-row block, cheap
-// enough for the hot loops (the perf gate runs with the checks compiled in)
-// and frequent enough to stop a canceled labeling within a few row-scans; a
-// canceled call leaves its LabelMap/Scratch reusable, so pooled buffers
-// survive cancellation. ccserve -request-timeout bounds synchronous requests
+// labeller has one context-aware entry point (LabelIntoCtx,
+// LabelBitmapIntoCtx, LabelGrayIntoCtx, LabelVolumeIntoCtx, plus
+// TraceContoursCtx) whose scan and relabel loops poll ctx.Done() once per
+// 64-row block, cheap enough for the hot loops (the perf gate runs with the
+// checks compiled in) and frequent enough to stop a canceled labeling within
+// a few row-scans; the plain forms call it with a context that never
+// cancels. A canceled call leaves its LabelMap/Scratch reusable, so pooled
+// buffers survive cancellation. ccserve -request-timeout bounds synchronous requests
 // (504 on expiry) and -job-timeout bounds async jobs (terminal state
 // canceled, retryable on resubmission); both default to unbounded.
 //
@@ -217,9 +218,7 @@
 // binary-only. Async jobs mirror the matrix via ?kind=
 // (labels|stats|contours|gray|volume), keyed by JobKeyMode so the same
 // bytes under different modes are distinct jobs while binary labels/stats
-// IDs stay identical to earlier releases. The ?stats= query parameter was
-// renamed ?components=; the old name is accepted for one release and
-// logged at warn.
+// IDs stay identical to earlier releases.
 //
 // # Reproducing the paper
 //

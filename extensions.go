@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/contour"
 	"repro/internal/grayccl"
@@ -68,17 +67,29 @@ func extAlg(mode Mode, alg Algorithm) (parallel bool, err error) {
 // LabelGray computes gray-level connected components (adjacent pixels with
 // equal values, 8-connectivity) with the paper's pair-scan + REMSP
 // machinery. Every pixel is labeled; labels are consecutive 1..n.
-func LabelGray(img *GrayImage) (*LabelMap, int) { return grayccl.Label(img) }
+func LabelGray(img *GrayImage) (*LabelMap, int) {
+	return mustGray(LabelGrayIntoCtx(context.TODO(), img, nil, nil, Options{Algorithm: AlgAREMSP}))
+}
 
 // LabelGrayParallel is LabelGray with PAREMSP-style chunked parallelism.
 func LabelGrayParallel(img *GrayImage, threads int) (*LabelMap, int) {
-	return grayccl.PLabel(img, threads)
+	return mustGray(LabelGrayIntoCtx(context.TODO(), img, nil, nil, Options{Threads: threads}))
 }
 
 // LabelGrayDelta labels components under the tolerance predicate
 // |v(p)-v(q)| <= delta between adjacent pixels (transitive closure).
 func LabelGrayDelta(img *GrayImage, delta uint8) (*LabelMap, int) {
-	return grayccl.LabelDelta(img, delta)
+	return mustGray(LabelGrayIntoCtx(context.TODO(), img, nil, nil, Options{Mode: ModeGrayDelta, Delta: delta}))
+}
+
+// mustGray unwraps a gray labeling whose options are valid by construction:
+// its only possible error is a nil image, on which the plain entry points
+// panic.
+func mustGray(res *Result, err error) (*LabelMap, int) {
+	if err != nil {
+		panic(err)
+	}
+	return res.Labels, res.NumComponents
 }
 
 // LabelGrayInto is LabelGrayIntoCtx without cancellation.
@@ -128,15 +139,11 @@ func LabelGrayIntoCtx(ctx context.Context, img *GrayImage, dst *LabelMap, sc *Sc
 	case mode == ModeGrayDelta:
 		// The tolerance predicate is not transitive; only the exhaustive
 		// sequential scan exists.
-		n, err = grayccl.LabelDeltaIntoCtx(ctx, img, dst, p, opt.Delta)
+		n, err = grayccl.LabelDelta(ctx, img, dst, p, opt.Delta)
 	case parallel:
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		n, err = grayccl.PLabelIntoCtx(ctx, img, dst, p, sc.LockTable(0), threads)
+		n, err = grayccl.PLabel(ctx, img, dst, p, sc.LockTable(0), opt.Threads)
 	default:
-		n, err = grayccl.LabelIntoCtx(ctx, img, dst, p)
+		n, err = grayccl.Label(ctx, img, dst, p)
 	}
 	if err != nil {
 		return nil, err
@@ -159,12 +166,22 @@ type VolumeResult struct {
 
 // LabelVolume computes 26-connected components of a binary volume with the
 // sequential two-pass algorithm; labels are consecutive 1..n.
-func LabelVolume(vol *Volume) (*LabelVolumeMap, int) { return vol3d.Label(vol) }
+func LabelVolume(vol *Volume) (*LabelVolumeMap, int) {
+	return mustVolume(LabelVolumeIntoCtx(context.TODO(), vol, nil, nil, Options{Algorithm: AlgAREMSP}))
+}
 
 // LabelVolumeParallel is LabelVolume with z-slab parallelism (the PAREMSP
 // construction applied along the z axis).
 func LabelVolumeParallel(vol *Volume, threads int) (*LabelVolumeMap, int) {
-	return vol3d.PLabel(vol, threads)
+	return mustVolume(LabelVolumeIntoCtx(context.TODO(), vol, nil, nil, Options{Threads: threads}))
+}
+
+// mustVolume is mustGray for volume labelings.
+func mustVolume(res *VolumeResult, err error) (*LabelVolumeMap, int) {
+	if err != nil {
+		panic(err)
+	}
+	return res.Labels, res.NumComponents
 }
 
 // LabelVolumeInto is LabelVolumeIntoCtx without cancellation.
@@ -208,13 +225,9 @@ func LabelVolumeIntoCtx(ctx context.Context, vol *Volume, dst *LabelVolumeMap, s
 	res := &VolumeResult{Labels: dst}
 	var n int
 	if parallel {
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		n, err = vol3d.PLabelIntoCtx(ctx, vol, dst, p, sc.LockTable(0), threads)
+		n, err = vol3d.PLabel(ctx, vol, dst, p, sc.LockTable(0), opt.Threads)
 	} else {
-		n, err = vol3d.LabelIntoCtx(ctx, vol, dst, p)
+		n, err = vol3d.Label(ctx, vol, dst, p)
 	}
 	if err != nil {
 		return nil, err

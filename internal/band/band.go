@@ -44,6 +44,7 @@ import (
 	"io"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
@@ -144,19 +145,12 @@ func Stream(src Source, opt Options) (*Result, error) {
 		bandRows = h
 	}
 	l := newLabeler(w, bandRows)
-	var done <-chan struct{}
-	if opt.Ctx != nil {
-		done = opt.Ctx.Done()
-	}
+	done := cancel.Done(opt.Ctx)
 	var bm binimg.Bitmap
 	y := 0
 	for y < h {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, opt.Ctx.Err()
-			default:
-			}
+		if cancel.Stopped(done) {
+			return nil, cancel.Err(opt.Ctx)
 		}
 		n, err := src.ReadBand(&bm, bandRows)
 		if n > 0 {
@@ -299,7 +293,7 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 	// array needs no clearing because the sink initializes each label it
 	// creates and the flatten sweeps only labels 1..count.
 	sink := core.NewRemSinkShared(l.pl, 0)
-	scan.Runs(bm, sink, 0, rows, &l.rs)
+	scan.Runs(bm, sink, 0, rows, &l.rs, nil)
 
 	// 2. Resolve within-band equivalences: pl[lab] is now the compact local
 	// root id (1..nloc) of every provisional label.

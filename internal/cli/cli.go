@@ -363,8 +363,8 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retain finished job results this long before eviction")
 	jobShards := fs.Int("job-shards", 0, "job store shard count (0 = 16)")
 	jobMaxBytes := fs.Int64("job-max-bytes", 0, "cap on retained job-result bytes; oldest results evicted beyond it (0 = 512 MiB)")
-	jobStore := fs.String("job-store", jobs.BackendMemory, "job store backend: memory (jobs lost on restart) or sqlite (durable journal + result blobs under -job-dir; results spill to disk instead of evicting)")
-	jobDir := fs.String("job-dir", "", "directory for the durable job store (required with -job-store=sqlite)")
+	jobStore := fs.String("job-store", jobs.BackendMemory, "job store backend: memory (jobs lost on restart) or disk (durable journal + result blobs under -job-dir; results spill to disk instead of evicting)")
+	jobDir := fs.String("job-dir", "", "directory for the durable job store (required with -job-store=disk)")
 	reqTimeout := fs.Duration("request-timeout", 0, "cancel a synchronous labeling and answer 504 after this long (0 = no server-side timeout)")
 	jobTimeoutFlag := fs.Duration("job-timeout", 0, "cancel an async job that has not reached a terminal state after this long (0 = no timeout)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "on SIGTERM/SIGINT, wait this long for running jobs before force-canceling them")

@@ -234,7 +234,7 @@ func TestCCServeBadFlags(t *testing.T) {
 		{"-job-ttl", "0s"},
 		{"-job-shards", "-3"},
 		{"-job-max-bytes", "-1"},
-		{"-job-store", "sqlite"}, // durable backend without -job-dir
+		{"-job-store", "disk"}, // durable backend without -job-dir
 		{"-job-store", "nonsense", "-job-dir", "/tmp"},
 		{"-log-level", "loud"},
 		{"-log-format", "xml"},

@@ -17,99 +17,56 @@ import (
 	"time"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
 )
 
 // BREMSP is the bit-packed sequential algorithm: pack to 1 bpp, run-based
-// scan (sink per run), FLATTEN, run-by-run labeling. Returns the final label
-// map (consecutive labels 1..n, background 0) and n.
-func BREMSP(img *binimg.Image) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n := BREMSPInto(img, lm, nil)
-	return lm, n
-}
-
-// BREMSPInto is BREMSP labeling into a caller-provided label map (reshaped
-// with Reset) and drawing the bitmap, run and equivalence buffers from sc
-// (nil allocates fresh ones). Returns the component count.
-func BREMSPInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := BREMSPIntoCtx(context.Background(), img, lm, sc)
-	return n
-}
-
-// BREMSPIntoCtx is BREMSPInto with cooperative cancellation (the packing pass
-// runs at memcpy speed and is not polled; the scan and relabel passes are).
-func BREMSPIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) (int, error) {
+// scan (sink per run), FLATTEN, run-by-run labeling. Labels img into lm
+// (consecutive labels 1..n, background 0) and returns n. The packing pass
+// runs at memcpy speed and is not polled; the scan and relabel passes are.
+func BREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	bm := sc.bitmap()
 	bm.FromImage(img)
-	return BREMSPBitmapIntoCtx(ctx, bm, lm, sc)
+	return BREMSPBitmap(ctx, bm, lm, sc, opt)
 }
 
-// BREMSPBitmapInto is BREMSP over an already-packed bitmap — the entry point
-// for callers that hold the packed raster natively (the service's PBM P4 fast
+// BREMSPBitmap is BREMSP over an already-packed bitmap — the entry point for
+// callers that hold the packed raster natively (the service's PBM P4 fast
 // path decodes straight into one, skipping the byte raster entirely).
-func BREMSPBitmapInto(bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := BREMSPBitmapIntoCtx(context.Background(), bm, lm, sc)
-	return n
-}
-
-// BREMSPBitmapIntoCtx is BREMSPBitmapInto with cooperative cancellation.
-func BREMSPBitmapIntoCtx(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch) (int, error) {
+func BREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, _ Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	lm.Reset(bm.Width, bm.Height)
 	if bm.Width == 0 || bm.Height == 0 {
-		return 0, nil
+		return 0, PhaseTimes{}, nil
 	}
-	done := ctxDone(ctx)
-	sink := &RemSink{p: sc.parents(scan.MaxRunLabels(bm.Width, bm.Height))}
+	done := cancel.Done(ctx)
+	sink := &RemSink{p: sc.Parents(scan.MaxRunLabels(bm.Width, bm.Height))}
 	rs := sc.runSets(1)[0]
-	if !scan.RunsUntil(bm, sink, 0, bm.Height, rs, done) {
-		return 0, cancelErr(ctx)
+	if !scan.Runs(bm, sink, 0, bm.Height, rs, done) {
+		return 0, PhaseTimes{}, cancel.Err(ctx)
 	}
 	n := unionfind.Flatten(sink.p, sink.count)
-	if !relabelRunsUntil(lm, sink.p, rs, done) {
-		return 0, cancelErr(ctx)
+	if !unionfind.RelabelRuns(lm.L, lm.Width, sink.p, rs, done) {
+		return 0, PhaseTimes{}, cancel.Err(ctx)
 	}
-	return int(n), nil
+	return int(n), PhaseTimes{}, nil
 }
 
-// PBREMSP labels img with the parallel bit-packed algorithm and default
-// options. Returns the final label map (consecutive labels 1..n, background
-// 0) and n.
-func PBREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n, _ := PBREMSPTimedInto(img, lm, nil, Options{Threads: threads})
-	return lm, n
-}
-
-// PBREMSPTimed is PBREMSP with explicit options and per-phase timings.
-func PBREMSPTimed(img *binimg.Image, opt Options) (*binimg.LabelMap, int, PhaseTimes) {
-	lm := &binimg.LabelMap{}
-	n, times := PBREMSPTimedInto(img, lm, nil, opt)
-	return lm, n, times
-}
-
-// PBREMSPTimedInto is PBREMSP labeling into a caller-provided label map and
-// drawing every reusable buffer from sc. Each chunk packs its own rows into
-// the shared bitmap (rows never share words, so the packing is race-free)
-// before scanning them, so the packing cost parallelizes with the scan and is
-// reported inside the Scan phase.
-func PBREMSPTimedInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PBREMSPTimedIntoCtx(context.Background(), img, lm, sc, opt)
-	return n, times
-}
-
-// PBREMSPTimedIntoCtx is PBREMSPTimedInto with cooperative cancellation: the
-// chunked scans and relabels poll ctx per row block and the driver checks ctx
-// between phases. A canceled run returns ctx's error with the phase times
-// accumulated so far.
-func PBREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+// PBREMSP labels img into lm with the parallel bit-packed algorithm and
+// returns the component count and per-phase timings. Each chunk packs its
+// own rows into the shared bitmap (rows never share words, so the packing is
+// race-free) before scanning them, so the packing cost parallelizes with the
+// scan and is reported inside the Scan phase. The chunked scans and relabels
+// poll ctx per row block and ctx is also checked between phases; a
+// canceled run returns ctx's error with the phase times accumulated so far.
+func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -118,15 +75,8 @@ func PBREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 	return pbremsp(ctx, bm, img, lm, sc, opt)
 }
 
-// PBREMSPBitmapTimedInto is PBREMSPTimedInto over an already-packed bitmap.
-func PBREMSPBitmapTimedInto(bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PBREMSPBitmapTimedIntoCtx(context.Background(), bm, lm, sc, opt)
-	return n, times
-}
-
-// PBREMSPBitmapTimedIntoCtx is PBREMSPBitmapTimedInto with cooperative
-// cancellation.
-func PBREMSPBitmapTimedIntoCtx(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+// PBREMSPBitmap is PBREMSP over an already-packed bitmap.
+func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -162,10 +112,10 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 
 	stride := Label(scan.RunLabelStride(w))
 	maxLabel := Label(h) * stride
-	p := sc.parents(int(maxLabel))
+	p := sc.Parents(int(maxLabel))
 	runSets := sc.runSets(threads)
 
-	done := ctxDone(ctx)
+	done := cancel.Done(ctx)
 	var times PhaseTimes
 	var stop atomic.Bool
 
@@ -182,7 +132,7 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 				bm.FromImageRows(src, rowStart, rowEnd)
 			}
 			sink := NewRemSinkShared(p, Label(rowStart)*stride)
-			if !scan.RunsUntil(bm, sink, rowStart, rowEnd, rs, done) {
+			if !scan.Runs(bm, sink, rowStart, rowEnd, rs, done) {
 				stop.Store(true)
 			}
 		}()
@@ -190,7 +140,7 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 	wg.Wait()
 	times.Scan = time.Since(t0)
 	if stop.Load() {
-		return 0, times, cancelErr(ctx)
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase II: run-granular boundary merges.
@@ -215,23 +165,23 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 		wg.Wait()
 	}
 	times.Merge = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
+	if cancel.Stopped(done) {
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase III: FLATTEN over the sparse label space.
 	t0 = time.Now()
 	n := unionfind.FlattenSparse(p, maxLabel)
 	times.Flatten = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
+	if cancel.Stopped(done) {
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase IV: run-by-run relabel, one goroutine per chunk.
 	t0 = time.Now()
 	if opt.SequentialRelabel || threads == 1 {
 		for c := 0; c < threads; c++ {
-			if !relabelRunsUntil(lm, p, runSets[c], done) {
+			if !unionfind.RelabelRuns(lm.L, w, p, runSets[c], done) {
 				stop.Store(true)
 				break
 			}
@@ -242,7 +192,7 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !relabelRunsUntil(lm, p, rs, done) {
+				if !unionfind.RelabelRuns(lm.L, w, p, rs, done) {
 					stop.Store(true)
 				}
 			}()
@@ -251,7 +201,7 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 	}
 	times.Relabel = time.Since(t0)
 	if stop.Load() {
-		return 0, times, cancelErr(ctx)
+		return 0, times, cancel.Err(ctx)
 	}
 
 	return int(n), times, nil
@@ -272,23 +222,4 @@ func rowChunkStarts(h, threads int) []int {
 	}
 	starts[threads] = h
 	return starts
-}
-
-// relabelRuns writes final labels into lm for every run of rs: one parent
-// lookup and one contiguous fill per run instead of a lookup per pixel
-// (labeling phase, run-granular).
-func relabelRuns(lm *binimg.LabelMap, p []Label, rs *scan.RunSet) {
-	l := lm.L
-	w := lm.Width
-	for i, rows := 0, rs.Rows(); i < rows; i++ {
-		y := rs.Row0 + i
-		base := y * w
-		for _, r := range rs.RowRuns(y) {
-			final := p[r.Label]
-			seg := l[base+int(r.Start) : base+int(r.End)]
-			for k := range seg {
-				seg[k] = final
-			}
-		}
-	}
 }

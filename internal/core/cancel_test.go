@@ -12,22 +12,25 @@ import (
 	"repro/internal/stats"
 )
 
-// ctxAlgs enumerates every context-aware entry point under one signature.
+// ctxAlgs enumerates every image entry point; the parallel ones run at 3
+// threads.
 var ctxAlgs = []struct {
 	name string
 	run  func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error)
 }{
-	{"CCLREMSP", core.CCLREMSPIntoCtx},
-	{"AREMSP", core.AREMSPIntoCtx},
-	{"BREMSP", core.BREMSPIntoCtx},
-	{"PAREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-		n, _, err := core.PAREMSPTimedIntoCtx(ctx, img, lm, sc, core.Options{Threads: 3})
+	{"CCLREMSP", at3(core.CCLREMSP)},
+	{"AREMSP", at3(core.AREMSP)},
+	{"BREMSP", at3(core.BREMSP)},
+	{"PAREMSP", at3(core.PAREMSP)},
+	{"PBREMSP", at3(core.PBREMSP)},
+}
+
+// at3 binds an entry point's options to 3 threads and drops its phase times.
+func at3(alg coreFunc) func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch) (int, error) {
+	return func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+		n, _, err := alg(ctx, img, lm, sc, core.Options{Threads: 3})
 		return n, err
-	}},
-	{"PBREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-		n, _, err := core.PBREMSPTimedIntoCtx(ctx, img, lm, sc, core.Options{Threads: 3})
-		return n, err
-	}},
+	}
 }
 
 // TestCtxBackgroundMatchesPlain: with a never-canceled context every Ctx
@@ -102,30 +105,22 @@ func TestCtxDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	lm, sc := &binimg.LabelMap{}, &core.Scratch{}
-	if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // BenchmarkCancelCheck measures the cost of the cancellation polling on the
-// sequential hot path: the Ctx variant under a never-canceled context versus
-// the plain entry point. The per-row nil-channel check must stay in the
-// noise (the perf gate compares the *Into numbers against the baseline
-// report with this code compiled in).
+// sequential hot path: a never-canceled context (nil done channel) against a
+// live cancelable one. The per-row-block poll must stay in the noise.
 func BenchmarkCancelCheck(b *testing.B) {
 	img := dataset.UniformNoise(1024, 1024, 0.5, 12)
 	lm, sc := &binimg.LabelMap{}, &core.Scratch{}
-	b.Run("plain", func(b *testing.B) {
-		b.SetBytes(int64(img.Width * img.Height))
-		for i := 0; i < b.N; i++ {
-			core.CCLREMSPInto(img, lm, sc)
-		}
-	})
 	b.Run("ctx-background", func(b *testing.B) {
 		ctx := context.Background()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -135,7 +130,7 @@ func BenchmarkCancelCheck(b *testing.B) {
 		defer cancel()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

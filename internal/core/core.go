@@ -2,13 +2,34 @@
 // CCL algorithms CCLREMSP (decision-tree scan + REM's union-find with
 // splicing) and AREMSP (two-rows-at-a-time scan + REMSP), and the parallel
 // algorithm PAREMSP (chunked AREMSP scan + concurrent boundary merge +
-// flatten + relabel).
+// flatten + relabel), plus their bit-packed variants BREMSP and PBREMSP.
+//
+// Every algorithm has one entry point of the form
+//
+//	Alg(ctx, src, lm, sc, opt) (n, PhaseTimes, error)
+//
+// labeling src into lm (reshaped with Reset) and drawing its equivalence
+// buffers from sc (nil allocates fresh ones). opt and the returned
+// PhaseTimes concern the parallel algorithms; the sequential ones ignore opt
+// and report zero times.
+//
+// Cancellation is cooperative: the long row loops — scan and relabel, which
+// together dominate the runtime — poll ctx's done channel once per
+// cancel.PollRows rows and abort with ctx's error. A nil ctx (or one that
+// can never be canceled) costs one predicted branch per row, so the entry
+// points keep their benchmarked performance — see
+// BenchmarkCancelCheck. The flatten and boundary-merge phases touch the
+// equivalence table, not the raster, and are not polled internally; the
+// parallel algorithms check ctx between phases instead. A canceled labeling
+// leaves lm and sc in an undefined (but reusable — every entry point Resets
+// them) state; callers must discard the result.
 package core
 
 import (
 	"context"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
 )
@@ -60,8 +81,7 @@ func (s *RemSink) Count() Label { return s.count }
 // Parents exposes the parent array for the flatten pass.
 func (s *RemSink) Parents() []Label { return s.p }
 
-// Scratch holds the reusable equivalence buffers behind the *Into entry
-// points. A zero Scratch is ready to use; reusing one across calls amortizes
+// Scratch holds the reusable equivalence buffers of the entry points. A zero Scratch is ready to use; reusing one across calls amortizes
 // the parent-array allocation, the dominant non-raster allocation of every
 // REMSP algorithm. For the bit-packed algorithms (BREMSP, PBREMSP) it
 // additionally retains the packed bitmap and the per-chunk run buffers. A
@@ -73,10 +93,12 @@ type Scratch struct {
 	runs []*scan.RunSet
 }
 
-// parents returns a zeroed parent array with n+1 slots (slot 0 is the
+// Parents returns a zeroed parent array with n+1 slots (slot 0 is the
 // background), growing the retained buffer only when needed. Zeroing is
 // required by FlattenSparse, which treats p[i] == 0 as "label never created".
-func (s *Scratch) parents(n int) []Label {
+// The extension labelers (gray-level, 3D volume) draw their parent arrays
+// here too, so one buffer grows to the largest request and serves every mode.
+func (s *Scratch) Parents(n int) []Label {
 	if cap(s.p) < n+1 {
 		s.p = make([]Label, n+1)
 	} else {
@@ -86,10 +108,11 @@ func (s *Scratch) parents(n int) []Label {
 	return s.p
 }
 
-// lockTable returns a retained lock table with the requested stripe count
-// (0 selects the default). A table whose run has completed has every stripe
+// LockTable returns a retained lock table with the requested stripe count
+// (0 selects the default), for the concurrent boundary merges of every
+// parallel labeler. A table whose run has completed has every stripe
 // unlocked, so reuse across labelings is safe.
-func (s *Scratch) lockTable(stripes int) *unionfind.LockTable {
+func (s *Scratch) LockTable(stripes int) *unionfind.LockTable {
 	want := stripes
 	if want == 0 {
 		want = unionfind.DefaultLockStripes
@@ -99,17 +122,6 @@ func (s *Scratch) lockTable(stripes int) *unionfind.LockTable {
 	}
 	return s.lt
 }
-
-// Parents returns a zeroed parent array with n+1 slots from the retained
-// buffer, exactly as the internal entry points obtain theirs. Exported for
-// the extension labelers (gray-level, 3D volume), which share a Scratch's
-// parent buffer with the binary algorithms: the buffer grows to the largest
-// request and is reused across modes.
-func (s *Scratch) Parents(n int) []Label { return s.parents(n) }
-
-// LockTable returns the retained stripe-lock table (0 stripes selects the
-// default), for the extension labelers' concurrent boundary merges.
-func (s *Scratch) LockTable(stripes int) *unionfind.LockTable { return s.lockTable(stripes) }
 
 // bitmap returns the retained packed raster.
 func (s *Scratch) bitmap() *binimg.Bitmap {
@@ -128,45 +140,34 @@ func (s *Scratch) runSets(n int) []*scan.RunSet {
 }
 
 // CCLREMSP is the paper's Algorithm 1: decision-tree scan phase, FLATTEN
-// analysis phase, labeling phase. Returns the final label map (consecutive
-// labels 1..n, background 0) and n.
-func CCLREMSP(img *binimg.Image) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n := CCLREMSPInto(img, lm, nil)
-	return lm, n
-}
-
-// CCLREMSPInto is CCLREMSP labeling into a caller-provided label map (reshaped
-// with Reset) and drawing equivalence buffers from sc (nil allocates fresh
-// ones). Returns the component count.
-func CCLREMSPInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := CCLREMSPIntoCtx(context.Background(), img, lm, sc)
-	return n
+// analysis phase, labeling phase. Labels img into lm (consecutive labels
+// 1..n, background 0) and returns n.
+func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, _ Options) (int, PhaseTimes, error) {
+	return sequential(ctx, img, lm, sc, scan.DecisionTree)
 }
 
 // AREMSP is the paper's Algorithm 5: two-rows-at-a-time scan phase (Alg. 6),
 // FLATTEN analysis phase (Alg. 3), labeling phase. This is the paper's best
 // sequential algorithm and the one PAREMSP parallelizes.
-func AREMSP(img *binimg.Image) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n := AREMSPInto(img, lm, nil)
-	return lm, n
+func AREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, _ Options) (int, PhaseTimes, error) {
+	return sequential(ctx, img, lm, sc, scan.PairRows)
 }
 
-// AREMSPInto is AREMSP labeling into a caller-provided label map (reshaped
-// with Reset) and drawing equivalence buffers from sc (nil allocates fresh
-// ones). Returns the component count.
-func AREMSPInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := AREMSPIntoCtx(context.Background(), img, lm, sc)
-	return n
-}
-
-// relabelSeq rewrites provisional labels to final labels through the
-// flattened parent array (labeling phase: label(e) <- p[label(e)]).
-func relabelSeq(lm *binimg.LabelMap, p []Label) {
-	for i, v := range lm.L {
-		if v != 0 {
-			lm.L[i] = p[v]
-		}
+// sequential runs one whole-image pixel scan, FLATTEN and the relabel pass.
+func sequential(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch,
+	scanRows func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int, <-chan struct{}) bool) (int, PhaseTimes, error) {
+	if sc == nil {
+		sc = &Scratch{}
 	}
+	lm.Reset(img.Width, img.Height)
+	done := cancel.Done(ctx)
+	sink := &RemSink{p: sc.Parents(scan.MaxProvisionalLabels(img.Width, img.Height))}
+	if !scanRows(img, lm, sink, 0, img.Height, done) {
+		return 0, PhaseTimes{}, cancel.Err(ctx)
+	}
+	n := unionfind.Flatten(sink.p, sink.count)
+	if !unionfind.Relabel(lm.L, sink.p, lm.Width, done) {
+		return 0, PhaseTimes{}, cancel.Err(ctx)
+	}
+	return int(n), PhaseTimes{}, nil
 }

@@ -39,9 +39,9 @@ func FuzzLabelersAgainstFloodFill(f *testing.F) {
 		}
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		for name, run := range map[string]func(*binimg.Image) (*binimg.LabelMap, int){
-			"AREMSP":   core.AREMSP,
-			"CCLREMSP": core.CCLREMSP,
-			"PAREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return core.PAREMSP(im, 3) },
+			"AREMSP":   func(im *binimg.Image) (*binimg.LabelMap, int) { return label(core.AREMSP, im, 0) },
+			"CCLREMSP": func(im *binimg.Image) (*binimg.LabelMap, int) { return label(core.CCLREMSP, im, 0) },
+			"PAREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return label(core.PAREMSP, im, 3) },
 		} {
 			lm, n := run(img)
 			if n != nRef {

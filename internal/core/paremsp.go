@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
 )
@@ -38,7 +39,7 @@ func (m MergerKind) String() string {
 	}
 }
 
-// Options configures PAREMSP.
+// Options configures the parallel algorithms, PAREMSP and PBREMSP.
 type Options struct {
 	// Threads is the number of worker goroutines (the paper's OpenMP thread
 	// count). 0 selects runtime.GOMAXPROCS(0).
@@ -78,15 +79,8 @@ func (p PhaseTimes) Local() time.Duration { return p.Scan }
 // LocalMerge returns the paper's "local + merge" quantity (Fig. 5b).
 func (p PhaseTimes) LocalMerge() time.Duration { return p.Scan + p.Merge }
 
-// PAREMSP labels img with the paper's parallel algorithm (Algorithm 7) and
-// default options. Returns the final label map (consecutive labels 1..n,
-// background 0) and n.
-func PAREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
-	lm, n, _ := PAREMSPTimed(img, Options{Threads: threads})
-	return lm, n
-}
-
-// PAREMSPTimed is PAREMSP with explicit options and per-phase timings.
+// PAREMSP labels img into lm with the paper's parallel algorithm
+// (Algorithm 7) and returns the component count and per-phase timings.
 //
 // Phase I divides the image row-wise into Threads chunks of whole row pairs
 // (the scan processes two rows at a time) and runs the AREMSP scan on every
@@ -104,27 +98,13 @@ func PAREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
 //
 // Phase III runs FLATTEN (sparse form: untouched label slots are skipped so
 // final labels stay consecutive). Phase IV rewrites the label raster.
-func PAREMSPTimed(img *binimg.Image, opt Options) (*binimg.LabelMap, int, PhaseTimes) {
-	lm := &binimg.LabelMap{}
-	n, times := PAREMSPTimedInto(img, lm, nil, opt)
-	return lm, n, times
-}
-
-// PAREMSPTimedInto is PAREMSPTimed labeling into a caller-provided label map
-// (reshaped with Reset) and drawing the shared parent array from sc (nil
-// allocates a fresh one). Reusing lm and sc across calls makes sustained
-// labeling allocation-free; this is the entry point the service layer's
-// buffer pools feed.
-func PAREMSPTimedInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PAREMSPTimedIntoCtx(context.Background(), img, lm, sc, opt)
-	return n, times
-}
-
-// PAREMSPTimedIntoCtx is PAREMSPTimedInto with cooperative cancellation: the
-// chunked scans and relabels poll ctx per row block and the driver checks ctx
-// between phases. A canceled run returns ctx's error with the phase times
+//
+// Reusing lm and sc across calls makes sustained labeling allocation-free;
+// this is the entry point the service layer's buffer pools feed. The chunked
+// scans and relabels poll ctx per row block and ctx is also checked
+// between phases; a canceled run returns ctx's error with the phase times
 // accumulated so far.
-func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+func PAREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	threads := opt.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -149,9 +129,9 @@ func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 
 	stride := Label(scan.RowPairLabelStride(w))
 	maxLabel := Label(numPairs) * stride
-	p := sc.parents(int(maxLabel))
+	p := sc.Parents(int(maxLabel))
 
-	done := ctxDone(ctx)
+	done := cancel.Done(ctx)
 	var times PhaseTimes
 	var stop atomic.Bool
 
@@ -165,7 +145,7 @@ func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 			defer wg.Done()
 			offset := Label(rowStart/2) * stride
 			sink := NewRemSinkShared(p, offset)
-			if !scan.PairRowsUntil(img, lm, sink, rowStart, rowEnd, done) {
+			if !scan.PairRows(img, lm, sink, rowStart, rowEnd, done) {
 				stop.Store(true)
 			}
 		}()
@@ -173,7 +153,7 @@ func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 	wg.Wait()
 	times.Scan = time.Since(t0)
 	if stop.Load() {
-		return 0, times, cancelErr(ctx)
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase II: boundary merges.
@@ -196,29 +176,28 @@ func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 		wg.Wait()
 	}
 	times.Merge = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
+	if cancel.Stopped(done) {
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase III: FLATTEN over the sparse label space.
 	t0 = time.Now()
 	n := unionfind.FlattenSparse(p, maxLabel)
 	times.Flatten = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
+	if cancel.Stopped(done) {
+		return 0, times, cancel.Err(ctx)
 	}
 
 	// Phase IV: relabel.
 	t0 = time.Now()
-	var relabeled bool
-	if opt.SequentialRelabel || threads == 1 {
-		relabeled = relabelSeqUntil(lm, p, done)
-	} else {
-		relabeled = relabelParUntil(lm, p, threads, done)
+	relabelThreads := threads
+	if opt.SequentialRelabel {
+		relabelThreads = 1
 	}
+	relabeled := unionfind.RelabelBands(lm.L, p, w, relabelThreads, done)
 	times.Relabel = time.Since(t0)
 	if !relabeled {
-		return 0, times, cancelErr(ctx)
+		return 0, times, cancel.Err(ctx)
 	}
 
 	return int(n), times, nil
@@ -250,7 +229,7 @@ func mergeFunc(opt Options, p []Label, sc *Scratch) func(x, y Label) {
 	case MergerCAS:
 		return func(x, y Label) { unionfind.MergeCAS(p, x, y) }
 	default:
-		lt := sc.lockTable(opt.LockStripes)
+		lt := sc.LockTable(opt.LockStripes)
 		return func(x, y Label) { unionfind.MergeLocked(p, lt, x, y) }
 	}
 }
@@ -280,31 +259,4 @@ func mergeBoundaryRow(img *binimg.Image, lm *binimg.LabelMap, merge func(x, y La
 			merge(le, lab[up+x+1])
 		}
 	}
-}
-
-// relabelParUntil rewrites provisional labels to final labels with threads
-// goroutines over row bands, each polling done per row block; reports whether
-// every band ran to completion.
-func relabelParUntil(lm *binimg.LabelMap, p []Label, threads int, done <-chan struct{}) bool {
-	l := lm.L
-	n := len(l)
-	chunk := (n + threads - 1) / threads
-	block := relabelBlock(lm.Width)
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(part []Label) {
-			defer wg.Done()
-			if !relabelSliceUntil(part, p, block, done) {
-				stop.Store(true)
-			}
-		}(l[lo:hi])
-	}
-	wg.Wait()
-	return !stop.Load()
 }

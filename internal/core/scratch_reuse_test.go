@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/binimg"
@@ -10,8 +11,7 @@ import (
 )
 
 // TestScratchReuseAcrossSizes drives one Scratch (and one LabelMap) through
-// a shrinking-then-growing sequence of image shapes with every *Into entry
-// point. Reuse must never leak state between calls: the parent array, the
+// a shrinking-then-growing sequence of image shapes with every entry point. Reuse must never leak state between calls: the parent array, the
 // retained bitmap (whose tail-bits-zero invariant must hold after a Reset
 // to a narrower raster), and the per-chunk run buffers are all recycled, so
 // any stale byte shows up as a wrong partition. Each result is structurally
@@ -27,23 +27,7 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		{150, 90},
 		{65, 65},
 	}
-	algs := []struct {
-		name string
-		run  func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int
-	}{
-		{"AREMSP", core.AREMSPInto},
-		{"CCLREMSP", core.CCLREMSPInto},
-		{"BREMSP", core.BREMSPInto},
-		{"PAREMSP", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
-			n, _ := core.PAREMSPTimedInto(img, lm, sc, core.Options{Threads: 3})
-			return n
-		}},
-		{"PBREMSP", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
-			n, _ := core.PBREMSPTimedInto(img, lm, sc, core.Options{Threads: 3})
-			return n
-		}},
-	}
-	for _, alg := range algs {
+	for _, alg := range ctxAlgs {
 		alg := alg
 		t.Run(alg.name, func(t *testing.T) {
 			sc := &core.Scratch{}
@@ -53,7 +37,10 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 				for _, s := range shapes {
 					seed++
 					img := dataset.UniformNoise(s.w, s.h, 0.55, seed)
-					n := alg.run(img, lm, sc)
+					n, err := alg.run(context.Background(), img, lm, sc)
+					if err != nil {
+						t.Fatalf("round %d, %dx%d: %v", round, s.w, s.h, err)
+					}
 					if err := stats.Validate(img, lm, n, true); err != nil {
 						t.Fatalf("round %d, %dx%d: %v", round, s.w, s.h, err)
 					}
@@ -73,25 +60,20 @@ func TestScratchReuseAcrossAlgorithms(t *testing.T) {
 	big := dataset.UniformNoise(180, 120, 0.5, 5)
 	small := dataset.UniformNoise(66, 9, 0.5, 6)
 	steps := []struct {
-		name string
-		img  *binimg.Image
-		run  func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int
+		name    string
+		img     *binimg.Image
+		run     coreFunc
+		threads int
 	}{
-		{"BREMSP/big", big, core.BREMSPInto},
-		{"AREMSP/small", small, core.AREMSPInto},
-		{"PBREMSP/big", big, func(img *binimg.Image, l *binimg.LabelMap, s *core.Scratch) int {
-			n, _ := core.PBREMSPTimedInto(img, l, s, core.Options{Threads: 4})
-			return n
-		}},
-		{"BREMSP/small", small, core.BREMSPInto},
-		{"PAREMSP/big", big, func(img *binimg.Image, l *binimg.LabelMap, s *core.Scratch) int {
-			n, _ := core.PAREMSPTimedInto(img, l, s, core.Options{Threads: 2})
-			return n
-		}},
-		{"BREMSP/big", big, core.BREMSPInto},
+		{"BREMSP/big", big, core.BREMSP, 0},
+		{"AREMSP/small", small, core.AREMSP, 0},
+		{"PBREMSP/big", big, core.PBREMSP, 4},
+		{"BREMSP/small", small, core.BREMSP, 0},
+		{"PAREMSP/big", big, core.PAREMSP, 2},
+		{"BREMSP/big", big, core.BREMSP, 0},
 	}
 	for _, st := range steps {
-		n := st.run(st.img, lm, sc)
+		n, _, _ := st.run(context.Background(), st.img, lm, sc, core.Options{Threads: st.threads})
 		if err := stats.Validate(st.img, lm, n, true); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}

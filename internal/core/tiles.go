@@ -124,11 +124,7 @@ func PAREMSP2D(img *binimg.Image, tilesX, tilesY, threads int) (*binimg.LabelMap
 	wg.Wait()
 
 	n := unionfind.FlattenSparse(p, Label(len(p)-1))
-	if threads == 1 {
-		relabelSeq(lm, p)
-	} else {
-		relabelParUntil(lm, p, threads, nil)
-	}
+	unionfind.RelabelBands(lm.L, p, w, threads, nil)
 	return lm, int(n)
 }
 

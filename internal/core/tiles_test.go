@@ -25,7 +25,7 @@ func TestPropertyPAREMSP2DMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomImage(rng, 60, 60)
-		ref, nRef := core.AREMSP(img)
+		ref, nRef := label(core.AREMSP, img, 0)
 		lm, n := core.PAREMSP2D(img, 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(8))
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
@@ -36,7 +36,7 @@ func TestPropertyPAREMSP2DMatchesSequential(t *testing.T) {
 
 func TestPAREMSP2DGridSweep(t *testing.T) {
 	img := dataset.UniformNoise(97, 61, 0.5, 5)
-	ref, nRef := core.AREMSP(img)
+	ref, nRef := label(core.AREMSP, img, 0)
 	for tilesX := 1; tilesX <= 7; tilesX++ {
 		for tilesY := 1; tilesY <= 7; tilesY++ {
 			lm, n := core.PAREMSP2D(img, tilesX, tilesY, 6)
@@ -59,7 +59,7 @@ func TestPAREMSP2DDegenerate(t *testing.T) {
 		t.Fatal("0x0 image must have 0 components")
 	}
 	wide := dataset.UniformNoise(300, 2, 0.5, 1)
-	ref, nRef := core.AREMSP(wide)
+	ref, nRef := label(core.AREMSP, wide, 0)
 	lm, n = core.PAREMSP2D(wide, 8, 8, 8) // tilesY clamps to 1 pair
 	if n != nRef {
 		t.Fatalf("wide image: n=%d want %d", n, nRef)
@@ -74,7 +74,7 @@ func TestPAREMSP2DDegenerate(t *testing.T) {
 func TestPAREMSP2DSeamHeavy(t *testing.T) {
 	for _, vertical := range []bool{false, true} {
 		img := dataset.Stripes(96, 96, 1, 1, vertical)
-		ref, nRef := core.AREMSP(img)
+		ref, nRef := label(core.AREMSP, img, 0)
 		lm, n := core.PAREMSP2D(img, 5, 5, 8)
 		if n != nRef {
 			t.Fatalf("stripes vertical=%v: n=%d want %d", vertical, n, nRef)

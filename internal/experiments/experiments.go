@@ -110,9 +110,15 @@ var SequentialAlgs = []struct {
 	Run  func(*binimg.Image) (*binimg.LabelMap, int)
 }{
 	{"CCLLRPC", baseline.CCLLRPC},
-	{"CCLRemSP", core.CCLREMSP},
+	{"CCLRemSP", func(im *binimg.Image) (*binimg.LabelMap, int) {
+		lm, n, _ := label(core.CCLREMSP, im, core.Options{})
+		return lm, n
+	}},
 	{"ARun", baseline.ARUN},
-	{"ARemSP", core.AREMSP},
+	{"ARemSP", func(im *binimg.Image) (*binimg.LabelMap, int) {
+		lm, n, _ := label(core.AREMSP, im, core.Options{})
+		return lm, n
+	}},
 }
 
 // Config bundles the sweep parameters shared by the runners.
@@ -199,7 +205,7 @@ func Table4(w io.Writer, cfg Config) {
 			for _, spec := range classes[class] {
 				img := spec.Build()
 				samples = append(samples, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					core.PAREMSP(img, th)
+					label(core.PAREMSP, img, core.Options{Threads: th})
 				}))
 			}
 			stats[ti] = harness.Aggregate(samples)
@@ -250,7 +256,7 @@ func Fig4(w io.Writer, cfg Config) {
 		for i, spec := range specs {
 			imgs[i] = spec.Build()
 			seq = append(seq, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-				core.AREMSP(imgs[i])
+				label(core.AREMSP, imgs[i], core.Options{})
 			}))
 		}
 		seqAvg := harness.Aggregate(seq).Avg
@@ -259,7 +265,7 @@ func Fig4(w io.Writer, cfg Config) {
 			for _, img := range imgs {
 				img := img
 				par = append(par, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					core.PAREMSP(img, th)
+					label(core.PAREMSP, img, core.Options{Threads: th})
 				}))
 			}
 			parAvg := harness.Aggregate(par).Avg
@@ -302,7 +308,7 @@ func Fig5(w io.Writer, cfg Config) {
 		for ti, th := range Fig5Threads {
 			var bestLocal, bestLM time.Duration
 			for r := 0; r < cfg.Repeats; r++ {
-				_, _, times := core.PAREMSPTimed(img, core.Options{Threads: th})
+				_, _, times := label(core.PAREMSP, img, core.Options{Threads: th})
 				if r == 0 || times.Local() < bestLocal {
 					bestLocal = times.Local()
 				}
@@ -351,7 +357,7 @@ func WeakScaling(w io.Writer, cfg Config) {
 		img := dataset.LandCover(wpx, hpx, maxInt(32, wpx/64), 0.5, int64(500+th))
 		var best core.PhaseTimes
 		for r := 0; r < cfg.Repeats; r++ {
-			_, _, times := core.PAREMSPTimed(img, core.Options{Threads: th})
+			_, _, times := label(core.PAREMSP, img, core.Options{Threads: th})
 			if r == 0 || times.Total() < best.Total() {
 				best = times
 			}
@@ -389,35 +395,35 @@ func Ablations(w io.Writer, cfg Config) {
 	tbl := harness.NewTable("Question", "Variant", "Best ms")
 	// 1. Union-find under a fixed pair-row scan.
 	tbl.AddRow("union-find (pair scan fixed)", "REMSP (paper)",
-		harness.Msec(measure(func() { core.AREMSP(img) })))
+		harness.Msec(measure(func() { label(core.AREMSP, img, core.Options{}) })))
 	tbl.AddRow("", "He rtable (ARUN)",
 		harness.Msec(measure(func() { baseline.ARUN(img) })))
 	// 2. Scan strategy under fixed REMSP.
 	tbl.AddRow("scan (REMSP fixed)", "pair-row (paper)",
-		harness.Msec(measure(func() { core.AREMSP(img) })))
+		harness.Msec(measure(func() { label(core.AREMSP, img, core.Options{}) })))
 	tbl.AddRow("", "decision tree",
-		harness.Msec(measure(func() { core.CCLREMSP(img) })))
+		harness.Msec(measure(func() { label(core.CCLREMSP, img, core.Options{}) })))
 	// 3. Boundary merger.
 	tbl.AddRow("boundary merger (24 threads)", "locked (paper)",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, Merger: core.MergerLocked})
+			label(core.PAREMSP, img, core.Options{Threads: 24, Merger: core.MergerLocked})
 		})))
 	tbl.AddRow("", "lock-free CAS",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, Merger: core.MergerCAS})
+			label(core.PAREMSP, img, core.Options{Threads: 24, Merger: core.MergerCAS})
 		})))
 	// 4. Relabel pass.
 	tbl.AddRow("final relabel (24 threads)", "parallel (paper)",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24})
+			label(core.PAREMSP, img, core.Options{Threads: 24})
 		})))
 	tbl.AddRow("", "sequential",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, SequentialRelabel: true})
+			label(core.PAREMSP, img, core.Options{Threads: 24, SequentialRelabel: true})
 		})))
 	// 5. Decomposition.
 	tbl.AddRow("decomposition (24 workers)", "row chunks (paper)",
-		harness.Msec(measure(func() { core.PAREMSP(img, 24) })))
+		harness.Msec(measure(func() { label(core.PAREMSP, img, core.Options{Threads: 24}) })))
 	tbl.AddRow("", "tiles 6x4",
 		harness.Msec(measure(func() { core.PAREMSP2D(img, 6, 4, 24) })))
 	tbl.AddRow("", "tiles 4x6",
@@ -454,7 +460,7 @@ func Fig3(w io.Writer, cfg Config) {
 		fmt.Fprintf(w, "fig3: %v\n", err)
 		return
 	}
-	_, n := core.AREMSP(img)
+	_, n, _ := label(core.AREMSP, img, core.Options{})
 	fmt.Fprintf(w, "Figure 3: im2bw(0.5) conversion demo\n")
 	tbl := harness.NewTable("Stage", "Pixels", "Foreground", "Density", "Components")
 	tbl.AddRow("grayscale", fmt.Sprintf("%dx%d", width, height), "-", "-", "-")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,12 +29,34 @@ type GridAlg struct {
 // algorithms, the bit-packed pair, and the two parallel algorithms).
 var GridAlgs = []GridAlg{
 	{"CCLLRPC", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.CCLLRPC(im) }},
-	{"CCLRemSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.CCLREMSP(im) }},
+	{"CCLRemSP", false, threaded(core.CCLREMSP)},
 	{"ARun", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.ARUN(im) }},
-	{"ARemSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.AREMSP(im) }},
-	{"BREMSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.BREMSP(im) }},
-	{"PAREMSP", true, core.PAREMSP},
-	{"PBREMSP", true, core.PBREMSP},
+	{"ARemSP", false, threaded(core.AREMSP)},
+	{"BREMSP", false, threaded(core.BREMSP)},
+	{"PAREMSP", true, threaded(core.PAREMSP)},
+	{"PBREMSP", true, threaded(core.PBREMSP)},
+}
+
+// coreFunc is the signature shared by core's image entry points.
+type coreFunc = func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error)
+
+// label runs a core entry point with a fresh LabelMap and a nil Scratch, so
+// every timed call includes allocating its buffers and the rows stay
+// comparable with the recorded BENCH_*.json reports. The context never
+// cancels, so the error is always nil.
+func label(alg coreFunc, img *binimg.Image, opt core.Options) (*binimg.LabelMap, int, core.PhaseTimes) {
+	lm := &binimg.LabelMap{}
+	n, times, _ := alg(context.TODO(), img, lm, nil, opt)
+	return lm, n, times
+}
+
+// threaded adapts a core entry point to GridAlg.Run; the sequential
+// algorithms ignore the thread count.
+func threaded(alg coreFunc) func(*binimg.Image, int) (*binimg.LabelMap, int) {
+	return func(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
+		lm, n, _ := label(alg, img, core.Options{Threads: threads})
+		return lm, n
+	}
 }
 
 // gridAlgByName resolves a registry entry; ok is false for unknown names.

@@ -16,8 +16,12 @@ package grayccl
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/unionfind"
 )
 
@@ -52,29 +56,141 @@ func (im *Image) Set(x, y int, v uint8) {
 	im.Pix[y*im.Width+x] = v
 }
 
+// MaxLabels bounds the provisional labels either gray labeler can create for
+// a w×h image. Gray labels have no independent-set bound — every pixel may
+// open a component — so the parallel scan budgets 2*w labels per row pair,
+// ceil(h/2) pairs; the sequential scan's w*h bound is never larger.
+func MaxLabels(w, h int) int {
+	return ((h + 1) / 2) * (2 * w)
+}
+
+// Reset reshapes im to width×height, reusing the pixel buffer when large
+// enough (the binimg.Image contract); contents are zeroed.
+func (im *Image) Reset(width, height int) {
+	if width < 0 || height < 0 {
+		panic(fmt.Sprintf("grayccl: negative dimensions %dx%d", width, height))
+	}
+	n := width * height
+	if cap(im.Pix) < n {
+		im.Pix = make([]uint8, n)
+	} else {
+		im.Pix = im.Pix[:n]
+		clear(im.Pix)
+	}
+	im.Width, im.Height = width, height
+}
+
 // Label computes the gray-level connected components of img sequentially
-// (pair-row scan + REMSP). Labels are consecutive 1..n; returns the label
-// map and n.
-func Label(img *Image) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := LabelIntoCtx(context.Background(), img, lm, p)
-	return lm, n
+// (pair-row scan + REMSP), labeling into lm (reshaped with Reset): labels are
+// consecutive 1..n; returns n. p is the equivalence buffer — a zeroed parent
+// slice with at least MaxLabels(w,h)+1 slots (core.Scratch.Parents provides
+// one).
+//
+// The scan and relabel passes poll ctx every cancel.PollRows rows; a nil ctx
+// never cancels. A canceled labeling returns ctx's error and leaves lm
+// undefined but reusable.
+func Label(ctx context.Context, img *Image, lm *binimg.LabelMap, p []binimg.Label) (int, error) {
+	w, h := img.Width, img.Height
+	lm.Reset(w, h)
+	if w == 0 || h == 0 {
+		return 0, nil
+	}
+	unionfind.CheckParents(p, w*h)
+	done := cancel.Done(ctx)
+	count, ok := grayPairRows(img, lm, p, 0, 0, h, done)
+	if !ok {
+		return 0, cancel.Err(ctx)
+	}
+	n := unionfind.Flatten(p, count)
+	if !unionfind.Relabel(lm.L, p, w, done) {
+		return 0, cancel.Err(ctx)
+	}
+	return int(n), nil
 }
 
 // PLabel is the parallel version of Label: row-pair chunks scanned
 // concurrently with disjoint label ranges, boundary rows merged with the
-// concurrent lock-based REM union, sparse flatten, relabel.
-func PLabel(img *Image, threads int) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := PLabelIntoCtx(context.Background(), img, lm, p, nil, threads)
-	return lm, n
+// concurrent lock-based REM union, sparse flatten, relabel. The buffers and
+// cancellation follow Label; lt is the stripe-lock table for the boundary
+// merges (nil allocates a default one) and threads <= 0 selects
+// runtime.GOMAXPROCS(0). The boundary merge and flatten phases are not
+// polled — they touch the equivalence table, not the raster — so ctx is
+// checked between phases instead.
+func PLabel(ctx context.Context, img *Image, lm *binimg.LabelMap, p []binimg.Label, lt *unionfind.LockTable, threads int) (int, error) {
+	w, h := img.Width, img.Height
+	lm.Reset(w, h)
+	if w == 0 || h == 0 {
+		return 0, nil
+	}
+	numPairs := (h + 1) / 2
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	threads = min(threads, numPairs)
+
+	// Gray labels have no independent-set bound: every pixel may be a
+	// component, so each row pair budgets 2*w labels.
+	stride := binimg.Label(2 * w)
+	maxLabel := binimg.Label(numPairs) * stride
+	unionfind.CheckParents(p, int(maxLabel))
+	done := cancel.Done(ctx)
+
+	starts := make([]int, threads+1)
+	base, rem := numPairs/threads, numPairs%threads
+	pair := 0
+	for c := 0; c < threads; c++ {
+		starts[c] = pair * 2
+		pair += base
+		if c < rem {
+			pair++
+		}
+	}
+	starts[threads] = h
+
+	var canceled atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < threads; c++ {
+		rowStart, rowEnd := starts[c], starts[c+1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			offset := binimg.Label(rowStart/2) * stride
+			if _, ok := grayPairRows(img, lm, p, offset, rowStart, rowEnd, done); !ok {
+				canceled.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	if canceled.Load() {
+		return 0, cancel.Err(ctx)
+	}
+
+	if lt == nil {
+		lt = unionfind.NewLockTable(0)
+	}
+	for _, row := range starts[1:threads] {
+		row := row
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mergeGrayBoundary(img, lm, p, lt, row)
+		}()
+	}
+	wg.Wait()
+	if cancel.Stopped(done) {
+		return 0, cancel.Err(ctx)
+	}
+
+	n := unionfind.FlattenSparse(p, maxLabel)
+	if !unionfind.Relabel(lm.L, p, w, done) {
+		return 0, cancel.Err(ctx)
+	}
+	return int(n), nil
 }
 
 // grayPairRows is the pair-row scan of Alg. 6 with the foreground predicate
 // generalized to gray-value equality. It labels rows [rowStart, rowEnd),
-// drawing labels from offset+1 upward, polling done every pollRows row
+// drawing labels from offset+1 upward, polling done every cancel.PollRows row
 // pairs. Returns the last label used and whether it ran to completion.
 func grayPairRows(img *Image, lm *binimg.LabelMap, p []binimg.Label, offset binimg.Label, rowStart, rowEnd int, done <-chan struct{}) (binimg.Label, bool) {
 	w := img.Width
@@ -87,7 +203,7 @@ func grayPairRows(img *Image, lm *binimg.LabelMap, p []binimg.Label, offset bini
 		return count
 	}
 	for r := rowStart; r < rowEnd; r += 2 {
-		if (r-rowStart)%(2*pollRows) == 0 && stopped(done) {
+		if (r-rowStart)%(2*cancel.PollRows) == 0 && cancel.Stopped(done) {
 			return count, false
 		}
 		row := r * w
@@ -204,16 +320,29 @@ func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, p []binimg.Label, lt *un
 // |v(p) - v(q)| <= delta for adjacent pixels (8-connectivity), taking the
 // transitive closure: a gradual ramp is one component even though its ends
 // differ by more than delta. Tolerance is not transitive, so the exhaustive
-// Rosenfeld scan is used (every visited neighbor examined and merged).
-func LabelDelta(img *Image, delta uint8) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := LabelDeltaIntoCtx(context.Background(), img, lm, p, delta)
-	return lm, n
+// Rosenfeld scan is used (every visited neighbor examined and merged). The
+// buffers and cancellation follow Label.
+func LabelDelta(ctx context.Context, img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8) (int, error) {
+	w, h := img.Width, img.Height
+	lm.Reset(w, h)
+	if w == 0 || h == 0 {
+		return 0, nil
+	}
+	unionfind.CheckParents(p, w*h)
+	done := cancel.Done(ctx)
+	count, ok := deltaScan(img, lm, p, delta, done)
+	if !ok {
+		return 0, cancel.Err(ctx)
+	}
+	n := unionfind.Flatten(p, count)
+	if !unionfind.Relabel(lm.L, p, w, done) {
+		return 0, cancel.Err(ctx)
+	}
+	return int(n), nil
 }
 
 // deltaScan is LabelDelta's exhaustive Rosenfeld scan, polling done every
-// pollRows rows. Returns the last label used and whether it completed.
+// cancel.PollRows rows. Returns the last label used and whether it completed.
 func deltaScan(img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8, done <-chan struct{}) (binimg.Label, bool) {
 	w, h := img.Width, img.Height
 	pix := img.Pix
@@ -226,7 +355,7 @@ func deltaScan(img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8, d
 		return b-a <= delta
 	}
 	for y := 0; y < h; y++ {
-		if y%pollRows == 0 && stopped(done) {
+		if y%cancel.PollRows == 0 && cancel.Stopped(done) {
 			return count, false
 		}
 		row := y * w

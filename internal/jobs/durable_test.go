@@ -15,7 +15,7 @@ import (
 // openDurable opens a durable store in dir with a controlled clock.
 func openDurable(t *testing.T, dir string, clk *fakeClock, opt Options) *Store {
 	t.Helper()
-	opt.Backend = BackendSQLite
+	opt.Backend = BackendDisk
 	opt.Dir = dir
 	if opt.TTL == 0 {
 		opt.TTL = time.Hour
@@ -457,7 +457,7 @@ func TestDurableDirExclusiveLock(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Now()}
 	s := openDurable(t, dir, clk, Options{})
-	if _, err := open(Options{Backend: BackendSQLite, Dir: dir, TTL: time.Hour}, clk.Now); err == nil {
+	if _, err := open(Options{Backend: BackendDisk, Dir: dir, TTL: time.Hour}, clk.Now); err == nil {
 		t.Fatal("second open of a locked store dir succeeded")
 	}
 	s.Close()

@@ -17,7 +17,7 @@
 //
 // Two backends exist. BackendMemory (the default) keeps everything in
 // sharded in-process maps: fastest, lost on restart, and MaxResultBytes
-// overflow must evict finished jobs. BackendSQLite keeps metadata in a
+// overflow must evict finished jobs. BackendDisk keeps metadata in a
 // WAL-journaled file and result payloads in a content-addressed blob
 // directory: a SIGKILL'd process reopens the store, serves every finished
 // result byte-identical, and resubmits interrupted jobs (see Recover);
@@ -238,22 +238,17 @@ const (
 const (
 	// BackendMemory keeps everything in process memory (the default).
 	BackendMemory = "memory"
-	// BackendSQLite selects the durable backend: job metadata in a
-	// WAL-journaled single-file store under Options.Dir, result payloads
+	// BackendDisk selects the durable backend: job metadata in a fsynced,
+	// replayed JSONL write-ahead journal under Options.Dir, result payloads
 	// and pending inputs in a content-addressed blob directory beside it.
-	// The module builds with zero third-party dependencies, so no SQLite
-	// driver is linked — the embedded journal provides the same durability
-	// contract (fsynced ordered writes, crash recovery by replay), and the
-	// name matches the ccserve -job-store=sqlite flag.
-	BackendSQLite = "sqlite"
-	// BackendDisk is an alias for BackendSQLite.
+	// The name matches the ccserve -job-store=disk flag.
 	BackendDisk = "disk"
 )
 
 // Options sizes a Store.
 type Options struct {
 	// Backend selects the storage backend: BackendMemory ("" or "memory")
-	// or BackendSQLite ("sqlite"/"disk", durable; requires Dir).
+	// or BackendDisk ("disk", durable; requires Dir).
 	Backend string
 	// Dir is the durable backend's directory: a meta.wal journal, a blobs/
 	// subdirectory and a LOCK file flock-ed exclusively while the store is
@@ -449,7 +444,7 @@ func open(opt Options, now func() time.Time) (*Store, error) {
 	case "", BackendMemory:
 		s.meta = newMemMeta(n)
 		s.blobs = newMemBlobs()
-	case BackendSQLite, BackendDisk:
+	case BackendDisk:
 		if opt.Dir == "" {
 			return nil, fmt.Errorf("jobs: backend %q requires Options.Dir", opt.Backend)
 		}

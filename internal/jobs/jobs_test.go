@@ -12,7 +12,7 @@ import (
 )
 
 // testBackend returns the backend the suite runs against; CI sets
-// CCSERVE_TEST_JOB_STORE=sqlite to exercise the durable backend with the
+// CCSERVE_TEST_JOB_STORE=disk to exercise the durable backend with the
 // same lifecycle tests.
 func testBackend() string {
 	if b := os.Getenv("CCSERVE_TEST_JOB_STORE"); b != "" {

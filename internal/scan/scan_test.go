@@ -12,20 +12,27 @@ import (
 	"repro/internal/unionfind"
 )
 
+// scanFunc is the shape of the uncancelable scans; the cancelable ones are
+// adapted to it with never.
+type scanFunc = func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int)
+
+// never adapts a cancelable scan to scanFunc with a done channel that never
+// closes.
+func never(f func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int, <-chan struct{}) bool) scanFunc {
+	return func(img *binimg.Image, lm *binimg.LabelMap, sink scan.Sink, rowStart, rowEnd int) {
+		f(img, lm, sink, rowStart, rowEnd, nil)
+	}
+}
+
 // runScan executes one scan strategy with a REM sink and returns the final
 // consecutive labeling.
-func runScan(t *testing.T, img *binimg.Image,
-	f func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int), cap int) (*binimg.LabelMap, int) {
+func runScan(t *testing.T, img *binimg.Image, f scanFunc, cap int) (*binimg.LabelMap, int) {
 	t.Helper()
 	lm := binimg.NewLabelMap(img.Width, img.Height)
 	sink := core.NewRemSink(cap)
 	f(img, lm, sink, 0, img.Height)
 	n := unionfind.Flatten(sink.Parents(), sink.Count())
-	for i, v := range lm.L {
-		if v != 0 {
-			lm.L[i] = sink.Parents()[v]
-		}
-	}
+	unionfind.Relabel(lm.L, sink.Parents(), img.Width, nil)
 	return lm, int(n)
 }
 
@@ -45,7 +52,7 @@ func enumerate(w, h int, mask uint32) *binimg.Image {
 func TestDecisionTreeExhaustiveMask(t *testing.T) {
 	for mask := uint32(0); mask < 1<<6; mask++ {
 		img := enumerate(3, 2, mask)
-		lm, n := runScan(t, img, scan.DecisionTree, scan.MaxProvisionalLabels(3, 2))
+		lm, n := runScan(t, img, never(scan.DecisionTree), scan.MaxProvisionalLabels(3, 2))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %06b: n = %d, want %d\nimage:\n%s\ngot:\n%s\nwant:\n%s",
@@ -62,7 +69,7 @@ func TestDecisionTreeExhaustiveMask(t *testing.T) {
 func TestDecisionTreeExhaustive4x3(t *testing.T) {
 	for mask := uint32(0); mask < 1<<12; mask++ {
 		img := enumerate(4, 3, mask)
-		lm, n := runScan(t, img, scan.DecisionTree, scan.MaxProvisionalLabels(4, 3))
+		lm, n := runScan(t, img, never(scan.DecisionTree), scan.MaxProvisionalLabels(4, 3))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %012b: n = %d, want %d\nimage:\n%s", mask, n, nRef, img)
@@ -80,7 +87,7 @@ func TestDecisionTreeExhaustive4x3(t *testing.T) {
 func TestPairRowsExhaustiveMask(t *testing.T) {
 	for mask := uint32(0); mask < 1<<9; mask++ {
 		img := enumerate(3, 3, mask)
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(3, 3))
+		lm, n := runScan(t, img, never(scan.PairRows), scan.MaxProvisionalLabels(3, 3))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %09b: n = %d, want %d\nimage:\n%s\ngot:\n%s\nwant:\n%s",
@@ -100,7 +107,7 @@ func TestPairRowsExhaustive4x4(t *testing.T) {
 	}
 	for mask := uint32(0); mask < 1<<16; mask++ {
 		img := enumerate(4, 4, mask)
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(4, 4))
+		lm, n := runScan(t, img, never(scan.PairRows), scan.MaxProvisionalLabels(4, 4))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %016b: n = %d, want %d\nimage:\n%s", mask, n, nRef, img)
@@ -120,7 +127,7 @@ func TestPairRowsOddHeight(t *testing.T) {
 		for i := range img.Pix {
 			img.Pix[i] = uint8(rng.Intn(2))
 		}
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(3, 5))
+		lm, n := runScan(t, img, never(scan.PairRows), scan.MaxProvisionalLabels(3, 5))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("trial %d: n = %d, want %d\nimage:\n%s", trial, n, nRef, img)
@@ -172,10 +179,10 @@ func TestScanRangeIgnoresRowsAbove(t *testing.T) {
 		.###.`)
 	for _, tc := range []struct {
 		name string
-		f    func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int)
+		f    scanFunc
 	}{
-		{"DecisionTree", scan.DecisionTree},
-		{"PairRows", scan.PairRows},
+		{"DecisionTree", never(scan.DecisionTree)},
+		{"PairRows", never(scan.PairRows)},
 		{"AllNeighbors8", scan.AllNeighbors8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,8 +223,8 @@ func TestMaxProvisionalLabelsBound(t *testing.T) {
 	if got := scan.MaxProvisionalLabels(21, 17); got != want {
 		t.Fatalf("MaxProvisionalLabels(21,17) = %d, want %d", got, want)
 	}
-	for _, f := range []func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int){
-		scan.DecisionTree, scan.PairRows, scan.AllNeighbors8,
+	for _, f := range []scanFunc{
+		never(scan.DecisionTree), never(scan.PairRows), scan.AllNeighbors8,
 	} {
 		lm := binimg.NewLabelMap(21, 17)
 		sink := core.NewRemSink(want)
@@ -256,10 +263,10 @@ func TestRowPairLabelStride(t *testing.T) {
 func TestScansOnEmptyAndFull(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		f    func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int)
+		f    scanFunc
 	}{
-		{"DecisionTree", scan.DecisionTree},
-		{"PairRows", scan.PairRows},
+		{"DecisionTree", never(scan.DecisionTree)},
+		{"PairRows", never(scan.PairRows)},
 		{"AllNeighbors8", scan.AllNeighbors8},
 		{"AllNeighbors4", scan.AllNeighbors4},
 	} {

@@ -619,11 +619,7 @@ func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wantComps := true
-	v := r.URL.Query().Get("components")
-	if v == "" {
-		v = r.URL.Query().Get("stats") // deprecated alias, one release
-	}
-	if v != "" {
+	if v := r.URL.Query().Get("components"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, codeInvalidArgument, fmt.Sprintf("invalid components %q", v))

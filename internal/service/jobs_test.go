@@ -22,7 +22,7 @@ import (
 )
 
 // newTestJobStore builds a job store for a test, honoring
-// CCSERVE_TEST_JOB_STORE=sqlite so CI can run the whole service suite
+// CCSERVE_TEST_JOB_STORE=disk so CI can run the whole service suite
 // against the durable backend; unset or "memory" keeps the in-memory
 // default.
 func newTestJobStore(t *testing.T, jopt jobs.Options) *jobs.Store {
@@ -502,7 +502,7 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	}
 	submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[0])
 	<-started
-	submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[1]) // occupies the queue slot
+	queued := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[1]).Jobs[0] // occupies the queue slot
 	deadline := time.Now().Add(5 * time.Second)
 	for len(eng.queue) != 1 {
 		if time.Now().After(deadline) {
@@ -537,7 +537,9 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 		t.Fatalf("shed placeholder = %+v (status %d), want an observable failed job", sj, code)
 	}
 	close(block)
-	// With the pool drained, the retry replaces the failed placeholder.
+	// Once the queued job has run, the pool is drained and the retry
+	// replaces the failed placeholder.
+	pollJob(t, srv.URL, queued.ID, "done")
 	retry := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[2]).Jobs[0]
 	if retry.Dedup || retry.ID != shedID {
 		t.Fatalf("retry = %+v, want a fresh (non-dedup) job under the same ID", retry)

@@ -352,19 +352,20 @@ func TestContoursHTTPDifferential(t *testing.T) {
 	})
 }
 
-// TestDeprecatedStatsAlias: ?stats= (renamed to ?components=) is honored
-// for one release — identical behavior, logged at warn.
-func TestDeprecatedStatsAlias(t *testing.T) {
+// TestComponentsParam: ?components=false omits the per-component list from
+// a /v1/label JSON response, and the retired ?stats= spelling no longer
+// controls it.
+func TestComponentsParam(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
-	for _, q := range []string{"?stats=false", "?components=false"} {
+	for q, wantComps := range map[string]bool{"?components=false": false, "?stats=false": true, "": true} {
 		resp := post(t, srv.URL+"/v1/label"+q, ctPBM, ctJSON, pbmBody(t, testImage(t)))
 		var out labelResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if out.Components != nil {
-			t.Fatalf("%s still returned components", q)
+		if got := out.Components != nil; got != wantComps {
+			t.Fatalf("%q: components present = %t, want %t", q, got, wantComps)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func fetchResultBytes(t *testing.T, base, id string) []byte {
 // normal admission path, and completes under the second handler.
 func TestServiceRecoveryAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	jopt := jobs.Options{TTL: time.Hour, Backend: jobs.BackendSQLite, Dir: dir}
+	jopt := jobs.Options{TTL: time.Hour, Backend: jobs.BackendDisk, Dir: dir}
 
 	// First life. The handler gets a cancelable base context standing in
 	// for the process lifetime.

@@ -90,8 +90,7 @@ type requestSpec struct {
 	// bandRows is ?band= (stats jobs; 0 selects the default band height).
 	bandRows int
 	// components is ?components= (include per-component statistics in JSON
-	// responses; default true). The pre-rename ?stats= is accepted as a
-	// deprecated alias for one release and logged at warn.
+	// responses; default true).
 	components bool
 	// contours is ?contours= on /v1/label: also trace each component's
 	// outer boundary polyline into the JSON response.
@@ -165,15 +164,6 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, *apiError) {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
 			return spec, badParam("invalid components %q", v)
-		}
-		spec.components = b
-	} else if v := q.Get("stats"); v != "" {
-		// Renamed to ?components= (the response field it controls); the old
-		// name is honored for one release.
-		h.obs.log.Warn("deprecated query parameter", "param", "stats", "use", "components")
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return spec, badParam("invalid stats %q", v)
 		}
 		spec.components = b
 	}

@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -50,7 +51,10 @@ func TestComponentsAreaSumsToForeground(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(rng.Intn(2))
 	}
-	lm, _ := core.AREMSP(img)
+	lm := &binimg.LabelMap{}
+	if _, _, err := core.AREMSP(context.Background(), img, lm, nil, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, c := range stats.Components(lm) {
 		total += c.Area

@@ -3,8 +3,11 @@ package stream_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/band"
+	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/pnm"
@@ -81,7 +84,7 @@ func TestLabelBandsMatchesInMemory(t *testing.T) {
 			if err := stats.Validate(img, lm, n, true); err != nil {
 				t.Fatalf("%s/band%d: invalid labeling: %v", tc.name, bandRows, err)
 			}
-			want, wn := core.BREMSP(img)
+			want, wn := inMemory(core.BREMSP, img)
 			if wn != n {
 				t.Fatalf("%s/band%d: %d components, in-memory found %d", tc.name, bandRows, n, wn)
 			}
@@ -90,4 +93,89 @@ func TestLabelBandsMatchesInMemory(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cancelAfter wraps a band source and cancels its context once n bands have
+// been delivered, counting every ReadBand call in reads.
+type cancelAfter struct {
+	band.Source
+	n      int
+	reads  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) ReadBand(dst *binimg.Bitmap, maxRows int) (int, error) {
+	rows, err := c.Source.ReadBand(dst, maxRows)
+	c.reads++
+	if c.reads == c.n {
+		c.cancel()
+	}
+	return rows, err
+}
+
+// cancelOnRewind is a spill that cancels its context when LabelBands rewinds
+// it, i.e. between the band pass and the rewrite pass.
+type cancelOnRewind struct {
+	memSeeker
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnRewind) Seek(off int64, whence int) (int64, error) {
+	c.cancel()
+	return c.memSeeker.Seek(off, whence)
+}
+
+// TestLabelBandsCancel: LabelBands reports context.Canceled, and writes no
+// label rows, for a context canceled before it starts, during the band pass
+// and before the rewrite pass.
+func TestLabelBandsCancel(t *testing.T) {
+	img := dataset.UniformNoise(50, 300, 0.5, 5)
+	var pbm bytes.Buffer
+	if err := pnm.EncodePBM(&pbm, img, true); err != nil {
+		t.Fatal(err)
+	}
+	newSource := func() band.Source {
+		src, err := pnm.NewBandReaderBytes(pbm.Bytes(), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	check := func(t *testing.T, res *band.Result, err error, out *bytes.Buffer) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("LabelBands err = %v (nil result: %t), want context.Canceled and no result", err, res == nil)
+		}
+		if rowsOut := out.Len() - 16; rowsOut > 0 {
+			t.Fatalf("%d label bytes written after the cancel", rowsOut)
+		}
+	}
+
+	t.Run("pre-canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var out bytes.Buffer
+		res, err := stream.LabelBands(ctx, newSource(), &memSeeker{}, &out, 16)
+		check(t, res, err, &out)
+	})
+
+	t.Run("mid-band-pass", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		src := &cancelAfter{Source: newSource(), n: 3, cancel: cancel}
+		var out bytes.Buffer
+		res, err := stream.LabelBands(ctx, src, &memSeeker{}, &out, 16)
+		check(t, res, err, &out)
+		if src.reads != 3 {
+			t.Fatalf("read %d bands, want 3 (stop at the first band boundary after the cancel)", src.reads)
+		}
+	})
+
+	t.Run("before-rewrite-pass", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var out bytes.Buffer
+		res, err := stream.LabelBands(ctx, newSource(), &cancelOnRewind{cancel: cancel}, &out, 16)
+		check(t, res, err, &out)
+	})
 }

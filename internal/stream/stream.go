@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/band"
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
 )
@@ -196,10 +197,7 @@ func LabelPBM(r io.Reader, spill io.ReadWriteSeeker, out io.Writer) (int, error)
 // bands and the rewrite pass every 64 rows. Pass context.Background() (or
 // nil) to never cancel.
 func LabelBands(ctx context.Context, src band.Source, spill io.ReadWriteSeeker, out io.Writer, bandRows int) (*band.Result, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := cancel.Done(ctx)
 	w, h := src.Width(), src.Height()
 	sw := bufio.NewWriterSize(spill, 1<<16)
 	rowBytes := make([]byte, 4*w)
@@ -232,12 +230,8 @@ func LabelBands(ctx context.Context, src band.Source, spill io.ReadWriteSeeker, 
 		return nil, err
 	}
 	for y := 0; y < h; y++ {
-		if done != nil && y%64 == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
+		if y%cancel.PollRows == 0 && cancel.Stopped(done) {
+			return nil, cancel.Err(ctx)
 		}
 		if _, err := io.ReadFull(sr, rowBytes); err != nil {
 			return nil, fmt.Errorf("stream: reading spill row %d: %w", y, err)

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,6 +17,15 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
+
+// inMemory labels img with a core entry point into a fresh label map — the
+// in-memory reference the streaming labelers must agree with.
+func inMemory(alg func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error),
+	img *binimg.Image) (*binimg.LabelMap, int) {
+	lm := &binimg.LabelMap{}
+	n, _, _ := alg(context.Background(), img, lm, nil, core.Options{})
+	return lm, n
+}
 
 // labelViaStream round-trips img through the PBM encoder, the streaming
 // labeler (spilling to a real temp file), and the CCL1 decoder.
@@ -63,7 +73,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		img := img
 		t.Run(name, func(t *testing.T) {
 			lm, n := labelViaStream(t, img)
-			ref, nRef := core.AREMSP(img)
+			ref, nRef := inMemory(core.AREMSP, img)
 			if n != nRef {
 				t.Fatalf("streamed %d components, in-memory %d", n, nRef)
 			}
@@ -104,7 +114,7 @@ func TestPropertyStreamMatchesInMemory(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, nRef := core.AREMSP(img)
+		ref, nRef := inMemory(core.AREMSP, img)
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -172,7 +182,7 @@ func TestStreamHeaderComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nRef := core.AREMSP(img)
+	_, nRef := inMemory(core.AREMSP, img)
 	if n != nRef {
 		t.Fatalf("commented header: %d components, want %d", n, nRef)
 	}
@@ -180,7 +190,7 @@ func TestStreamHeaderComments(t *testing.T) {
 
 func TestWriteLabelsRoundTrip(t *testing.T) {
 	img := dataset.UniformNoise(61, 37, 0.4, 11)
-	lm, n := core.AREMSP(img)
+	lm, n := inMemory(core.AREMSP, img)
 	var buf bytes.Buffer
 	if err := stream.WriteLabels(&buf, lm, n); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,12 @@ package vol3d
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/binimg"
+	"repro/internal/cancel"
 	"repro/internal/unionfind"
 )
 
@@ -80,6 +82,39 @@ func (lv *LabelVolume) At(x, y, z int) binimg.Label {
 	return lv.L[(z*lv.H+y)*lv.W+x]
 }
 
+// Reset reshapes v to w×h×d, reusing the voxel buffer when large enough;
+// contents are zeroed. Long-lived servers decode request bodies into pooled
+// volumes this way.
+func (v *Volume) Reset(w, h, d int) {
+	if w < 0 || h < 0 || d < 0 {
+		panic(fmt.Sprintf("vol3d: negative dimensions %dx%dx%d", w, h, d))
+	}
+	n := w * h * d
+	if cap(v.Vox) < n {
+		v.Vox = make([]uint8, n)
+	} else {
+		v.Vox = v.Vox[:n]
+		clear(v.Vox)
+	}
+	v.W, v.H, v.D = w, h, d
+}
+
+// Reset reshapes lv to w×h×d, reusing the label buffer when large enough;
+// contents are zeroed.
+func (lv *LabelVolume) Reset(w, h, d int) {
+	if w < 0 || h < 0 || d < 0 {
+		panic(fmt.Sprintf("vol3d: negative dimensions %dx%dx%d", w, h, d))
+	}
+	n := w * h * d
+	if cap(lv.L) < n {
+		lv.L = make([]binimg.Label, n)
+	} else {
+		lv.L = lv.L[:n]
+		clear(lv.L)
+	}
+	lv.W, lv.H, lv.D = w, h, d
+}
+
 // MaxLabels3D bounds the provisional labels a 26-connected scan can create:
 // new-label voxels form an independent set in the 26-neighborhood graph, at
 // most ceil(w/2)*ceil(h/2)*ceil(d/2).
@@ -100,7 +135,7 @@ var visited13 = [13][3]int{
 
 // scanRange labels the z-slab [zStart, zEnd) of vol into lv, drawing labels
 // from offset+1 in the shared parent array p; planes below zStart are never
-// read. Polls done every pollRows raster rows. Returns the last label used
+// read. Polls done every cancel.PollRows raster rows. Returns the last label used
 // and whether it ran to completion.
 func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Label, zStart, zEnd int, done <-chan struct{}) (binimg.Label, bool) {
 	w, h := vol.W, vol.H
@@ -110,7 +145,7 @@ func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Lab
 	rows := 0
 	for z := zStart; z < zEnd; z++ {
 		for y := 0; y < h; y++ {
-			if rows%pollRows == 0 && stopped(done) {
+			if rows%cancel.PollRows == 0 && cancel.Stopped(done) {
 				return count, false
 			}
 			rows++
@@ -148,24 +183,111 @@ func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Lab
 }
 
 // Label computes the 26-connected components of vol with the sequential
-// two-pass algorithm. Labels are consecutive 1..n; returns the label volume
-// and n.
-func Label(vol *Volume) (*LabelVolume, int) {
-	lv := NewLabelVolume(vol.W, vol.H, vol.D)
-	p := make([]binimg.Label, MaxLabels3D(vol.W, vol.H, vol.D)+1)
-	n, _ := LabelIntoCtx(context.Background(), vol, lv, p)
-	return lv, n
+// two-pass algorithm, labeling into lv (reshaped with Reset): labels are
+// consecutive 1..n, background 0; returns n. p is the equivalence buffer — a
+// zeroed parent slice with at least MaxLabels3D(w,h,d)+1 slots
+// (core.Scratch.Parents provides one).
+//
+// The scan and relabel passes poll ctx every cancel.PollRows raster rows; a
+// nil ctx never cancels. A canceled labeling returns ctx's error and leaves
+// lv undefined but reusable.
+func Label(ctx context.Context, vol *Volume, lv *LabelVolume, p []binimg.Label) (int, error) {
+	lv.Reset(vol.W, vol.H, vol.D)
+	if len(vol.Vox) == 0 {
+		return 0, nil
+	}
+	unionfind.CheckParents(p, MaxLabels3D(vol.W, vol.H, vol.D))
+	done := cancel.Done(ctx)
+	count, ok := scanRange(vol, lv, p, 0, 0, vol.D, done)
+	if !ok {
+		return 0, cancel.Err(ctx)
+	}
+	n := unionfind.Flatten(p, count)
+	if !unionfind.Relabel(lv.L, p, vol.W, done) {
+		return 0, cancel.Err(ctx)
+	}
+	return int(n), nil
 }
 
 // PLabel is the PAREMSP construction applied along z: the volume is slabbed
 // into even-thickness z-ranges scanned concurrently with disjoint label
 // ranges; each slab-boundary plane is merged against the plane below it with
-// the concurrent lock-based REM union; sparse flatten; parallel relabel.
-func PLabel(vol *Volume, threads int) (*LabelVolume, int) {
-	lv := NewLabelVolume(vol.W, vol.H, vol.D)
-	p := make([]binimg.Label, MaxLabels3D(vol.W, vol.H, vol.D)+1)
-	n, _ := PLabelIntoCtx(context.Background(), vol, lv, p, nil, threads)
-	return lv, n
+// the concurrent lock-based REM union; sparse flatten; parallel relabel. The
+// buffers and cancellation follow Label (the per-plane-pair label strides
+// sum to exactly MaxLabels3D); lt is the stripe-lock table for the
+// boundary-plane merges (nil allocates a default one) and threads <= 0
+// selects runtime.GOMAXPROCS(0). The boundary merge and flatten phases are
+// not polled — they touch the equivalence table, not the raster — so ctx is
+// checked between phases instead.
+func PLabel(ctx context.Context, vol *Volume, lv *LabelVolume, p []binimg.Label, lt *unionfind.LockTable, threads int) (int, error) {
+	w, h, d := vol.W, vol.H, vol.D
+	lv.Reset(w, h, d)
+	if len(vol.Vox) == 0 {
+		return 0, nil
+	}
+	numPairs := (d + 1) / 2
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	threads = min(threads, numPairs)
+
+	// Per z-plane pair label budget, mirroring PAREMSP's per-row-pair stride.
+	stride := binimg.Label(((w + 1) / 2) * ((h + 1) / 2))
+	maxLabel := binimg.Label(numPairs) * stride
+	unionfind.CheckParents(p, int(maxLabel))
+	done := cancel.Done(ctx)
+
+	starts := make([]int, threads+1)
+	base, rem := numPairs/threads, numPairs%threads
+	pair := 0
+	for c := 0; c < threads; c++ {
+		starts[c] = pair * 2
+		pair += base
+		if c < rem {
+			pair++
+		}
+	}
+	starts[threads] = d
+
+	var canceled atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < threads; c++ {
+		zStart, zEnd := starts[c], starts[c+1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			offset := binimg.Label(zStart/2) * stride
+			if _, ok := scanRange(vol, lv, p, offset, zStart, zEnd, done); !ok {
+				canceled.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	if canceled.Load() {
+		return 0, cancel.Err(ctx)
+	}
+
+	if lt == nil {
+		lt = unionfind.NewLockTable(0)
+	}
+	for _, z := range starts[1:threads] {
+		z := z
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mergeBoundaryPlane(vol, lv, p, lt, z)
+		}()
+	}
+	wg.Wait()
+	if cancel.Stopped(done) {
+		return 0, cancel.Err(ctx)
+	}
+
+	n := unionfind.FlattenSparse(p, maxLabel)
+	if !unionfind.RelabelBands(lv.L, p, w, threads, done) {
+		return 0, cancel.Err(ctx)
+	}
+	return int(n), nil
 }
 
 // mergeBoundaryPlane unites every foreground voxel of plane z with its
@@ -199,32 +321,6 @@ func mergeBoundaryPlane(vol *Volume, lv *LabelVolume, p []binimg.Label, lt *unio
 			}
 		}
 	}
-}
-
-// relabelParUntil rewrites provisional labels to final labels in parallel,
-// each goroutine polling done every pollRows raster rows; reports whether
-// every chunk ran to completion.
-func relabelParUntil(lv *LabelVolume, p []binimg.Label, threads int, done <-chan struct{}) bool {
-	l := lv.L
-	n := len(l)
-	chunk := (n + threads - 1) / threads
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(part []binimg.Label) {
-			defer wg.Done()
-			if !relabelVolUntil(part, p, lv.W, done) {
-				canceled.Store(true)
-			}
-		}(l[lo:hi])
-	}
-	wg.Wait()
-	return !canceled.Load()
 }
 
 // FloodFill is the 3D reference labeler. conn26 selects 26-connectivity;
