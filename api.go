@@ -499,11 +499,12 @@ const (
 // connectivity, binarization level and raw input bytes, truncated to its
 // first 128 bits (32 hex characters). It applies exactly
 // the normalization the service applies before hashing — an empty algorithm
-// means the default (AlgPAREMSP), connectivity 0 means 8, stats jobs always
-// key as the band labeler (their algorithm and connectivity inputs are
-// ignored), and the level is zeroed for raw PBM (P4) bodies, which no level
-// can affect — so the returned ID matches what POST /v1/jobs assigns to the
-// same submission.
+// means the service's default for the kind (AlgPBREMSP for the binary
+// kinds, AlgPAREMSP for gray and volume jobs), connectivity 0 means 8,
+// stats jobs always key as the band labeler (their algorithm and
+// connectivity inputs are ignored), and the level is zeroed for raw PBM
+// (P4) bodies, which no level can affect — so the returned ID matches what
+// POST /v1/jobs assigns to the same submission.
 func JobKey(kind JobKind, alg Algorithm, connectivity int, level float64, body []byte) string {
 	if len(body) >= 2 && body[0] == 'P' && body[1] == '4' {
 		level = 0
@@ -512,7 +513,7 @@ func JobKey(kind JobKind, alg Algorithm, connectivity int, level float64, body [
 		return jobs.Key(kind, "stream", 8, level, body)
 	}
 	if alg == "" {
-		alg = AlgPAREMSP
+		alg = jobDefaultAlg(kind)
 	}
 	if connectivity == 0 {
 		connectivity = 8
@@ -538,7 +539,7 @@ func JobKey(kind JobKind, alg Algorithm, connectivity int, level float64, body [
 // Kinds without mode-specific normalization fall through to JobKey.
 func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level float64, delta uint8, body []byte) string {
 	if alg == "" {
-		alg = AlgPAREMSP
+		alg = jobDefaultAlg(kind)
 	}
 	switch kind {
 	case JobGray:
@@ -559,6 +560,16 @@ func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level 
 	default:
 		return JobKey(kind, alg, connectivity, level, body)
 	}
+}
+
+// jobDefaultAlg is the algorithm the service runs for a job of kind
+// without ?alg=: the bit-packed parallel labeler for binary labelings, the
+// paper's PAREMSP machinery for the gray and volume modes.
+func jobDefaultAlg(kind JobKind) Algorithm {
+	if kind == JobGray || kind == JobVolume {
+		return AlgPAREMSP
+	}
+	return AlgPBREMSP
 }
 
 // CountComponents labels img with AREMSP and returns only the component

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	ccserve [-addr :8377] [-workers 0] [-queue 0] [-threads 0]
-//	        [-max-bytes 67108864] [-level 0.5] [-alg paremsp]
+//	        [-max-bytes 67108864] [-level 0.5] [-alg pbremsp]
 //	        [-jobs] [-job-ttl 15m] [-job-shards 0] [-job-max-bytes 0]
 //	        [-log-level info] [-log-format text] [-debug-addr ""]
 //

@@ -32,13 +32,15 @@
 //
 // # Algorithms
 //
-//	paremsp    the paper's parallel algorithm (default); fastest on multi-core
+//	paremsp    the paper's parallel algorithm (library default); fastest on
+//	           multi-core byte rasters
 //	aremsp     the paper's best sequential algorithm (pair-row scan + REMSP)
 //	cclremsp   decision-tree scan + REMSP (the paper's second sequential)
 //	bremsp     bit-packed run scan + REMSP (beyond the paper); fastest
 //	           sequential on long-run/blobby rasters and raw-PBM input
 //	pbremsp    parallel bremsp (PAREMSP's chunk/merge machinery at run
-//	           granularity); fastest overall when input is already packed
+//	           granularity); fastest overall when input is already packed;
+//	           the ccserve default for binary requests
 //	ccllrpc    Wu-Otoo-Suzuki baseline (decision tree + rank/PC union-find)
 //	arun, run  He-Chao-Suzuki rtable baselines
 //	classic    Rosenfeld all-neighbor two-pass scan
@@ -49,10 +51,11 @@
 // The bit-packed pair (AlgBREMSP, AlgPBREMSP) operates on a Bitmap — 1 bit
 // per pixel, 64-bit words, rows padded to whole words — extracting foreground
 // runs with math/bits and calling the union-find once per run instead of per
-// pixel, then writing the final label map run-by-run. LabelBitmap /
-// LabelBitmapInto accept the packed raster directly, and DecodePBMBitmap
-// fills one from raw PBM (P4) without materializing a byte raster, since P4
-// rows are already bit-packed.
+// pixel, then writing the final label map run-by-run. They number labels in
+// raster order of each component's first pixel (chunk-major for PBREMSP on
+// several threads). LabelBitmap / LabelBitmapInto accept the packed raster
+// directly, and DecodePBMBitmap fills one from raw PBM (P4) without
+// materializing a byte raster, since P4 rows are already bit-packed.
 //
 // # Streaming and out-of-core statistics
 //
@@ -93,7 +96,15 @@
 // worker pool with sync.Pool-managed rasters and backpressure, and its HTTP
 // handler (cmd/ccserve) serves POST /v1/label with JSON statistics, PGM/PNG
 // label maps, or CCL1 label streams, plus /healthz and /metrics with the
-// per-phase timings above as live counters. When the queue is full the
+// per-phase timings above as live counters. Binary requests without ?alg=
+// run PBREMSP (gray and volume requests keep PAREMSP, which also stays the
+// library default): raw PBM and PGM bodies decode straight into a Bitmap,
+// and a JSON answer without contours builds no label map — the final pass
+// folds each run, under its final label, into the component statistics,
+// and is reported as relabel_ns. Because PBREMSP numbers components in
+// (chunk-major) raster order of their first pixel, the service's label
+// values differ from PAREMSP's numbering; pin ?alg=paremsp for the old
+// numbering. When the queue is full the
 // service answers 429 with a Retry-After derived from the observed mean job
 // latency and the current backlog.
 //

@@ -42,11 +42,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/binimg"
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/scan"
+	"repro/internal/stats"
 	"repro/internal/unionfind"
 )
 
@@ -179,53 +181,6 @@ func Stream(src Source, opt Options) (*Result, error) {
 	return l.finish(w, h), nil
 }
 
-// acc accumulates one component's statistics; it lives at the component's
-// global DSU root and is folded into the winner on every cross-band merge.
-type acc struct {
-	area, sumX, sumY, runs int64
-	minX, minY             int32
-	maxX, maxY             int32
-}
-
-func (a *acc) addRun(y, s, e int) {
-	n := int64(e - s)
-	a.area += n
-	a.sumX += n * int64(s+e-1) / 2 // sum of s..e-1; n*(s+e-1) is always even
-	a.sumY += n * int64(y)
-	a.runs++
-	if int32(s) < a.minX {
-		a.minX = int32(s)
-	}
-	if int32(e-1) > a.maxX {
-		a.maxX = int32(e - 1)
-	}
-	if int32(y) < a.minY {
-		a.minY = int32(y)
-	}
-	if int32(y) > a.maxY {
-		a.maxY = int32(y)
-	}
-}
-
-func (a *acc) fold(b *acc) {
-	a.area += b.area
-	a.sumX += b.sumX
-	a.sumY += b.sumY
-	a.runs += b.runs
-	if b.minX < a.minX {
-		a.minX = b.minX
-	}
-	if b.maxX > a.maxX {
-		a.maxX = b.maxX
-	}
-	if b.minY < a.minY {
-		a.minY = b.minY
-	}
-	if b.maxY > a.maxY {
-		a.maxY = b.maxY
-	}
-}
-
 // labeler is the streaming engine. Per-band buffers (pl, glob, rs) are sized
 // once for the band height and reused; global state (gp, st) grows with the
 // component count only.
@@ -237,8 +192,8 @@ type labeler struct {
 	rs   scan.RunSet  // band-local labeled runs
 	seam []binimg.Run // previous band's last row, Label = global id
 
-	gp []Label // global DSU over provisional component ids; gp[0] unused
-	st []acc   // per-global-id statistics, valid at DSU roots
+	gp []Label     // global DSU over provisional component ids; gp[0] unused
+	st []stats.Acc // per-global-id statistics, valid at DSU roots
 }
 
 func newLabeler(w, bandRows int) *labeler {
@@ -249,7 +204,7 @@ func newLabeler(w, bandRows int) *labeler {
 		pl:       make([]Label, n+1),
 		glob:     make([]Label, n+1),
 		gp:       make([]Label, 1, 64),
-		st:       make([]acc, 1, 64),
+		st:       make([]stats.Acc, 1, 64),
 	}
 }
 
@@ -270,17 +225,14 @@ func (l *labeler) gunion(a, b Label) Label {
 		a, b = b, a
 	}
 	l.gp[b] = a
-	l.st[a].fold(&l.st[b])
+	l.st[a].Fold(&l.st[b])
 	return a
 }
 
 func (l *labeler) newGlobal() Label {
 	g := Label(len(l.gp))
 	l.gp = append(l.gp, g)
-	l.st = append(l.st, acc{
-		minX: int32(l.w), minY: int32(1 << 30),
-		maxX: -1, maxY: -1,
-	})
+	l.st = append(l.st, stats.EmptyAcc(l.w, math.MaxInt32))
 	return g
 }
 
@@ -330,7 +282,7 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 		runs := l.rs.RowRuns(i)
 		for _, r := range runs {
 			g := l.gfind(glob[l.pl[r.Label]])
-			l.st[g].addRun(y, int(r.Start), int(r.End))
+			l.st[g].AddRun(y, int(r.Start), int(r.End))
 		}
 		if emit != nil {
 			if err := emit(y, runs, resolve); err != nil {
@@ -364,15 +316,15 @@ func (l *labeler) finish(w, h int) *Result {
 			continue
 		}
 		a := &l.st[g]
-		res.ForegroundPixels += a.area
+		c := a.Component(finalOf[g])
+		res.ForegroundPixels += a.Area
 		comps = append(comps, ComponentStats{
-			Label: finalOf[g],
-			Area:  a.area,
-			MinX:  int(a.minX), MinY: int(a.minY),
-			MaxX: int(a.maxX), MaxY: int(a.maxY),
-			CentroidX: float64(a.sumX) / float64(a.area),
-			CentroidY: float64(a.sumY) / float64(a.area),
-			Runs:      a.runs,
+			Label: c.Label,
+			Area:  a.Area,
+			MinX:  c.MinX, MinY: c.MinY,
+			MaxX: c.MaxX, MaxY: c.MaxY,
+			CentroidX: c.CentroidX, CentroidY: c.CentroidY,
+			Runs: a.Runs,
 		})
 	}
 	res.NumComponents = int(n)

@@ -355,10 +355,10 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", ":8377", "listen address")
 	workers := fs.Int("workers", 0, "labeling workers (0 = all CPUs)")
 	queue := fs.Int("queue", 0, "queued requests beyond in-flight before 429 (0 = 2x workers)")
-	threads := fs.Int("threads", 0, "default paremsp threads per request (0 = CPUs/workers)")
+	threads := fs.Int("threads", 0, "default threads per request for the parallel labelers (pbremsp, paremsp, gray, volume) when ?threads= is absent (0 = CPUs/workers)")
 	maxBytes := fs.Int64("max-bytes", 64<<20, "largest accepted image body in bytes")
 	level := fs.Float64("level", 0.5, "default binarization threshold for grayscale input, in (0, 1); per-request ?level= accepts [0, 1)")
-	alg := fs.String("alg", "", "default algorithm for requests without ?alg= (default paremsp): "+algList())
+	alg := fs.String("alg", "", "default algorithm for binary-mode requests without ?alg= (default pbremsp, which numbers labels in raster order of each component's first pixel, chunk-major across threads; gray and volume requests keep paremsp): "+algList())
 	jobsOn := fs.Bool("jobs", true, "enable the asynchronous job API (/v1/jobs)")
 	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retain finished job results this long before eviction")
 	jobShards := fs.Int("job-shards", 0, "job store shard count (0 = 16)")
@@ -525,7 +525,7 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		slog.Int("threads", *threads),
 		slog.Int64("max_bytes", *maxBytes),
 		slog.Float64("level", *level),
-		slog.String("alg", cmp.Or(*alg, string(paremsp.AlgPAREMSP))),
+		slog.String("alg", cmp.Or(*alg, string(paremsp.AlgPBREMSP))),
 		slog.Bool("jobs", store != nil),
 		slog.Duration("request_timeout", *reqTimeout),
 		slog.Duration("job_timeout", *jobTimeoutFlag),

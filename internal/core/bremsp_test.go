@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/binimg"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/stats"
 )
 
@@ -169,4 +171,31 @@ func FuzzBitScanAgainstFloodFill(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkBitPackedOneThread pits PBREMSP at one thread against BREMSP on
+// the packed raster with reused buffers (the service's regime), plus the
+// label-map-free fold at one thread: BREMSP is PBREMSP's driver at one
+// thread, so the first two must stay within noise of each other.
+func BenchmarkBitPackedOneThread(b *testing.B) {
+	for _, side := range []int{1024, 4096} {
+		bm := packed(dataset.LandCover(side, side, 32, 0.5, 1))
+		lm, sc := &binimg.LabelMap{}, &core.Scratch{}
+		opt := core.Options{Threads: 1}
+		b.Run(fmt.Sprintf("%d/bremsp", side), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.BREMSPBitmap(context.Background(), bm, lm, sc, opt)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/pbremsp", side), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.PBREMSPBitmap(context.Background(), bm, lm, sc, opt)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/pbremsp-stats", side), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.PBREMSPStats(context.Background(), bm, sc, opt, true)
+			}
+		})
+	}
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/cancel"
 	"repro/internal/scan"
+	"repro/internal/stats"
 	"repro/internal/unionfind"
 )
 
@@ -87,10 +88,12 @@ func (s *RemSink) Parents() []Label { return s.p }
 // additionally retains the packed bitmap and the per-chunk run buffers. A
 // Scratch must not be shared by concurrent labelings.
 type Scratch struct {
-	p    []Label
-	lt   *unionfind.LockTable
-	bm   *binimg.Bitmap
-	runs []*scan.RunSet
+	p       []Label
+	lt      *unionfind.LockTable
+	bm      *binimg.Bitmap
+	runs    []*scan.RunSet
+	acc     []stats.Acc
+	foreign []*foreignTable
 }
 
 // Parents returns a zeroed parent array with n+1 slots (slot 0 is the
@@ -106,6 +109,16 @@ func (s *Scratch) Parents(n int) []Label {
 		clear(s.p)
 	}
 	return s.p
+}
+
+// parentsUncleared is Parents without the zeroing, for the bit-packed
+// labelers: their FLATTEN sweeps only the label ranges the chunks used, and
+// the scan initializes every slot in those ranges.
+func (s *Scratch) parentsUncleared(n int) []Label {
+	if cap(s.p) < n+1 {
+		s.p = make([]Label, n+1)
+	}
+	return s.p[:n+1]
 }
 
 // LockTable returns a retained lock table with the requested stripe count
@@ -137,6 +150,27 @@ func (s *Scratch) runSets(n int) []*scan.RunSet {
 		s.runs = append(s.runs, &scan.RunSet{})
 	}
 	return s.runs[:n]
+}
+
+// accs returns n retained statistics accumulators, emptied for a w x h
+// raster.
+func (s *Scratch) accs(n, w, h int) []stats.Acc {
+	if cap(s.acc) < n {
+		s.acc = make([]stats.Acc, n)
+	}
+	s.acc = s.acc[:n]
+	for i := range s.acc {
+		s.acc[i] = stats.EmptyAcc(w, h)
+	}
+	return s.acc
+}
+
+// foreignTables returns n retained per-chunk foreign accumulator tables.
+func (s *Scratch) foreignTables(n int) []*foreignTable {
+	for len(s.foreign) < n {
+		s.foreign = append(s.foreign, &foreignTable{})
+	}
+	return s.foreign[:n]
 }
 
 // CCLREMSP is the paper's Algorithm 1: decision-tree scan phase, FLATTEN

@@ -374,6 +374,10 @@ type Store struct {
 	stop     chan struct{}
 	swept    sync.WaitGroup
 	closed   atomic.Bool
+	// finishing is held shared by the terminal transitions (Complete, Fail,
+	// Cancel), which write result blobs and journal records; Close takes it
+	// exclusively after setting closed, so no such write outlives Close.
+	finishing sync.RWMutex
 }
 
 type cancelReg struct {
@@ -505,6 +509,8 @@ func open(opt Options, now func() time.Time) (*Store, error) {
 // applied consistently, and the next Open recovers those jobs instead.
 func (s *Store) Close() {
 	s.closed.Store(true)
+	s.finishing.Lock() // wait out in-flight terminal transitions
+	s.finishing.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.swept.Wait()
 	s.meta.Close()
@@ -627,11 +633,13 @@ func (s *Store) Start(id string, gen uint64) {
 // exceed the store's cap, payloads are spilled (durable) or the oldest
 // finished jobs evicted (memory) to make room.
 func (s *Store) Complete(id string, gen uint64, r *Result) {
+	s.finishing.RLock()
+	defer s.finishing.RUnlock()
 	if s.closed.Load() {
 		return
 	}
 	if err := s.blobs.Put(id, gen, r); err != nil {
-		s.Fail(id, gen, fmt.Errorf("persist result: %w", err))
+		s.fail(id, gen, fmt.Errorf("persist result: %w", err))
 		return
 	}
 	info := r.ResultInfo
@@ -657,9 +665,16 @@ func (s *Store) Complete(id string, gen uint64, r *Result) {
 // a no-op if the job was deleted while running or superseded by a newer
 // generation (see Complete).
 func (s *Store) Fail(id string, gen uint64, err error) {
+	s.finishing.RLock()
+	defer s.finishing.RUnlock()
 	if s.closed.Load() {
 		return
 	}
+	s.fail(id, gen, err)
+}
+
+// fail is Fail under a held finishing lock.
+func (s *Store) fail(id string, gen uint64, err error) {
 	now := s.now()
 	j, ok := s.meta.Fail(id, gen, err.Error(), now, now.Add(s.ttl))
 	if !ok {
@@ -683,6 +698,8 @@ func (s *Store) Fail(id string, gen uint64, err error) {
 // deleted or superseded jobs; queued jobs canceled by a drain move straight
 // from queued to canceled.
 func (s *Store) Cancel(id string, gen uint64, err error) {
+	s.finishing.RLock()
+	defer s.finishing.RUnlock()
 	if s.closed.Load() {
 		return
 	}

@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
+	"math"
 
 	"repro/internal/binimg"
 )
@@ -18,13 +18,16 @@ import (
 // P4 rows are already bit-packed and are reordered packed-to-packed; P5 rows
 // are binarized with the im2bw threshold the whole-image decoders use
 // (luminance fraction strictly greater than level becomes foreground).
+// DecodeBitmapInto reads a whole image through the same row loop.
 type BandReader struct {
-	br     *bufio.Reader
-	width  int
-	height int
-	raw4   bool // true = P4, false = P5
-	maxVal int  // P5 only
-	level  float64
+	br       *bufio.Reader
+	width    int
+	height   int
+	raw4     bool // true = P4, false = P5
+	bytesPer int  // P5 bytes per sample (1 or 2)
+	// thresh is the P5 foreground threshold in sample units: a sample v is
+	// foreground iff v > thresh, the integer form of v > level*maxVal.
+	thresh int
 	y      int // rows already delivered
 	rowBuf []byte
 }
@@ -38,7 +41,7 @@ func NewBandReader(r io.Reader, level float64) (*BandReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pnm: reading magic: %w", err)
 	}
-	b := &BandReader{br: br, level: level}
+	b := &BandReader{br: br}
 	switch magic {
 	case "P4":
 		b.raw4 = true
@@ -54,19 +57,13 @@ func NewBandReader(r io.Reader, level float64) (*BandReader, error) {
 		b.rowBuf = make([]byte, (b.width+7)/8)
 		return b, nil
 	}
-	maxTok, err := readToken(br)
+	maxVal, err := readMaxVal(br)
 	if err != nil {
-		return nil, fmt.Errorf("pnm: reading maxval: %w", err)
+		return nil, err
 	}
-	b.maxVal, err = strconv.Atoi(maxTok)
-	if err != nil || b.maxVal < 1 || b.maxVal > 65535 {
-		return nil, fmt.Errorf("pnm: invalid maxval %q", maxTok)
-	}
-	bytesPer := 1
-	if b.maxVal > 255 {
-		bytesPer = 2
-	}
-	b.rowBuf = make([]byte, b.width*bytesPer)
+	b.bytesPer = sampleBytes(maxVal)
+	b.thresh = int(math.Floor(level * float64(maxVal)))
+	b.rowBuf = make([]byte, b.width*b.bytesPer)
 	return b, nil
 }
 
@@ -92,31 +89,40 @@ func (b *BandReader) ReadBand(dst *binimg.Bitmap, maxRows int) (int, error) {
 	}
 	dst.Reset(b.width, rows)
 	tail := dst.TailMask()
-	thresh := b.level * float64(b.maxVal)
 	for i := 0; i < rows; i++ {
 		if _, err := io.ReadFull(b.br, b.rowBuf); err != nil {
 			return 0, fmt.Errorf("pnm: %s row %d: %w", b.format(), b.y+i, err)
 		}
 		words := dst.Row(i)
-		if b.raw4 {
+		switch {
+		case b.raw4:
 			packP4Row(words, b.rowBuf, tail)
-			continue
-		}
-		bytesPer := len(b.rowBuf) / max(b.width, 1)
-		for x := 0; x < b.width; x++ {
-			var v int
-			if bytesPer == 2 {
-				v = int(b.rowBuf[2*x])<<8 | int(b.rowBuf[2*x+1])
-			} else {
-				v = int(b.rowBuf[x])
+		case b.bytesPer == 1:
+			for x, v := range b.rowBuf {
+				if int(v) > b.thresh {
+					words[x>>6] |= 1 << (uint(x) & 63)
+				}
 			}
-			if float64(v) > thresh {
-				words[x>>6] |= 1 << (uint(x) & 63)
+		default:
+			for x := 0; x < b.width; x++ {
+				if int(b.rowBuf[2*x])<<8|int(b.rowBuf[2*x+1]) > b.thresh {
+					words[x>>6] |= 1 << (uint(x) & 63)
+				}
 			}
 		}
 	}
 	b.y += rows
 	return rows, nil
+}
+
+// readAll decodes every remaining row into dst as one band.
+func (b *BandReader) readAll(dst *binimg.Bitmap) error {
+	if b.y == b.height {
+		dst.Reset(b.width, 0)
+		return nil
+	}
+	_, err := b.ReadBand(dst, b.height-b.y)
+	return err
 }
 
 func (b *BandReader) format() string {

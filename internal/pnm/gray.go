@@ -40,10 +40,7 @@ func DecodeGrayInto(r io.Reader, dst *grayccl.Image) error {
 	}
 	dst.Reset(w, h)
 	if magic == "P5" {
-		bytesPer := 1
-		if maxVal > 255 {
-			bytesPer = 2
-		}
+		bytesPer := sampleBytes(maxVal)
 		buf := make([]byte, w*bytesPer)
 		for y := 0; y < h; y++ {
 			if _, err := io.ReadFull(br, buf); err != nil {
@@ -129,10 +126,7 @@ func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
 		} else if fw != w || fh != h {
 			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fw, fh, w, h)
 		}
-		bytesPer := 1
-		if maxVal > 255 {
-			bytesPer = 2
-		}
+		bytesPer := sampleBytes(maxVal)
 		if cap(buf) < w*bytesPer {
 			buf = make([]byte, w*bytesPer)
 		}
@@ -176,6 +170,15 @@ func readMaxVal(br *bufio.Reader) (int, error) {
 		return 0, fmt.Errorf("pnm: invalid maxval %q", maxTok)
 	}
 	return maxVal, nil
+}
+
+// sampleBytes is the raw-PGM sample width for maxVal: 2 bytes (big-endian)
+// above 255, else 1.
+func sampleBytes(maxVal int) int {
+	if maxVal > 255 {
+		return 2
+	}
+	return 1
 }
 
 // EncodeGrayPGM writes a gray image as a raw P5 graymap — the inverse of

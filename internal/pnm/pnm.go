@@ -11,6 +11,8 @@ package pnm
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"image"
 	"image/color"
@@ -96,47 +98,37 @@ func decodePBM(br *bufio.Reader, raw bool, im *binimg.Image) error {
 	return nil
 }
 
-// DecodePBMBitmapInto decodes a raw PBM (P4) stream directly into a packed
-// 1-bit-per-pixel bitmap, reshaped with Reset. P4 rows are already bit-packed
-// (MSB first within each byte), so each row is copied packed-to-packed — one
-// Reverse8 per byte reorders into the bitmap's LSB-first words, and the
-// row's tail padding bits are masked to preserve the Bitmap invariant —
-// instead of being unpacked to a byte per pixel. This is the fast ingest path
-// for the bit-packed labelers (BREMSP/PBREMSP): the byte raster is never
-// materialized.
-func DecodePBMBitmapInto(r io.Reader, dst *binimg.Bitmap) error {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	if magic != "P4" {
-		return fmt.Errorf("pnm: bitmap decode wants raw PBM magic P4, got %q", magic)
-	}
-	w, h, err := readDims(br)
+// DecodeBitmapInto decodes a raw PBM (P4) or raw PGM (P5) stream directly
+// into a packed 1-bit-per-pixel bitmap, reshaped with Reset: BandReader's
+// row loop reading the whole image as one band. P4 rows are already
+// bit-packed and are reordered packed-to-packed; P5 rows are binarized at
+// level (im2bw semantics, as DecodeInto) straight into the packed words.
+// This is the ingest path of the bit-packed labelers (BREMSP/PBREMSP): the
+// byte raster is never materialized.
+func DecodeBitmapInto(r io.Reader, level float64, dst *binimg.Bitmap) error {
+	b, err := NewBandReader(r, level)
 	if err != nil {
 		return err
 	}
-	dst.Reset(w, h)
-	stride := (w + 7) / 8
-	if stride == 0 {
-		return nil // zero-width image: nothing follows the header
+	return b.readAll(dst)
+}
+
+// DecodePBMBitmapInto is DecodeBitmapInto restricted to raw PBM (P4).
+func DecodePBMBitmapInto(r io.Reader, dst *binimg.Bitmap) error {
+	b, err := NewBandReader(r, 0)
+	if err != nil {
+		return err
 	}
-	rowBuf := make([]byte, stride)
-	tail := dst.TailMask()
-	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(br, rowBuf); err != nil {
-			return fmt.Errorf("pnm: P4 row %d: %w", y, err)
-		}
-		packP4Row(dst.Words[y*dst.WordsPerRow:(y+1)*dst.WordsPerRow], rowBuf, tail)
+	if !b.raw4 {
+		return fmt.Errorf("pnm: bitmap decode wants raw PBM magic P4, got %q", b.format())
 	}
-	return nil
+	return b.readAll(dst)
 }
 
 // packP4Row reorders one raw-PBM row (MSB-first within each byte) into a
 // row of zeroed LSB-first bitmap words — one Reverse8 per byte — and masks
 // the row's padding bits with tail to preserve the Bitmap tail-bits-zero
-// invariant. Shared by the whole-image and band decoders.
+// invariant.
 func packP4Row(words []uint64, rowBuf []byte, tail uint64) {
 	for i, bb := range rowBuf {
 		if bb != 0 {
@@ -160,10 +152,7 @@ func decodePGM(br *bufio.Reader, raw bool, level float64, im *binimg.Image) erro
 	im.Reset(w, h)
 	thresh := level * float64(maxVal)
 	if raw {
-		bytesPer := 1
-		if maxVal > 255 {
-			bytesPer = 2
-		}
+		bytesPer := sampleBytes(maxVal)
 		buf := make([]byte, w*bytesPer)
 		for y := 0; y < h; y++ {
 			if _, err := io.ReadFull(br, buf); err != nil {
@@ -197,6 +186,73 @@ func decodePGM(br *bufio.Reader, raw bool, level float64, im *binimg.Image) erro
 		}
 	}
 	return nil
+}
+
+// Header is a PNM header: the magic ("P1".."P5"), the dimensions and, for
+// graymaps, the maxval (0 for bitmaps).
+type Header struct {
+	Magic         string
+	Width, Height int
+	MaxVal        int
+}
+
+// PayloadBytes returns the fewest body bytes that can carry the pixels the
+// header declares: h*ceil(w/8) for raw PBM, h*w*bytes-per-sample for raw
+// PGM, and w*h (one character per pixel) for the plain formats. A body cap
+// compared against it bounds every allocation a decoder sizes from the
+// header.
+func (h Header) PayloadBytes() int64 {
+	w, ht := int64(h.Width), int64(h.Height)
+	switch h.Magic {
+	case "P4":
+		return ht * ((w + 7) / 8)
+	case "P5":
+		return ht * w * int64(sampleBytes(h.MaxVal))
+	default:
+		return w * ht
+	}
+}
+
+// PeekHeader parses the PNM header at the front of br without consuming
+// it, so a caller can check the declared dimensions against a budget
+// before a decoder allocates for them. Malformed headers fail with the
+// decoders' own errors; a header that does not fit in br's buffer fails
+// too, so padding a header with comments cannot slip past the check.
+func PeekHeader(br *bufio.Reader) (Header, error) {
+	buf, peekErr := br.Peek(br.Size())
+	rest := bytes.NewReader(buf)
+	hr := bufio.NewReader(rest)
+	var (
+		h   Header
+		err error
+	)
+	h.Magic, err = readToken(hr)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("pnm: reading magic: %w", err)
+	case h.Magic != "P1" && h.Magic != "P2" && h.Magic != "P4" && h.Magic != "P5":
+		err = fmt.Errorf("pnm: unsupported magic %q (want P1, P2, P4 or P5)", h.Magic)
+	default:
+		h.Width, h.Height, err = readDims(hr)
+		if err == nil && (h.Magic == "P2" || h.Magic == "P5") {
+			h.MaxVal, err = readMaxVal(hr)
+		}
+	}
+	if err != nil && peekErr != nil && peekErr != io.EOF {
+		// The body failed before the header ended (a read error, or the
+		// body cap): that, not the truncated header, is the failure.
+		return h, fmt.Errorf("pnm: reading header: %w", peekErr)
+	}
+	if peekErr == nil {
+		// The window is full, so running out of it is not the end of the
+		// body: a header cut short — or a last token the window may have
+		// cut — is a header longer than the window.
+		cut := err == nil && hr.Buffered()+rest.Len() == 0 && !isSpace(buf[len(buf)-1])
+		if cut || errors.Is(err, io.EOF) {
+			return h, fmt.Errorf("pnm: header longer than %d bytes", len(buf))
+		}
+	}
+	return h, err
 }
 
 // readDims reads and validates the width and height tokens.
@@ -237,7 +293,7 @@ func readToken(br *bufio.Reader) (string, error) {
 			if _, err := br.ReadString('\n'); err != nil && err != io.EOF {
 				return "", err
 			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
+		case isSpace(b):
 			if len(tok) > 0 {
 				return string(tok), nil
 			}
@@ -246,6 +302,9 @@ func readToken(br *bufio.Reader) (string, error) {
 		}
 	}
 }
+
+// isSpace reports whether b separates Netpbm header tokens.
+func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
 
 // EncodePBM writes im as a PBM bitmap: raw packed P4 when raw is true,
 // plain-text P1 otherwise.

@@ -1,7 +1,9 @@
 package pnm_test
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -269,5 +271,105 @@ func TestDecodePBMBitmapIntoRejectsNonP4(t *testing.T) {
 func TestDecodePBMBitmapIntoTruncated(t *testing.T) {
 	if err := pnm.DecodePBMBitmapInto(strings.NewReader("P4\n16 4\n\x01\x02"), &binimg.Bitmap{}); err == nil {
 		t.Fatal("truncated P4 accepted")
+	}
+}
+
+// TestDecodeBitmapIntoMatchesBytePath: the one bitmap decoder must agree
+// with the byte-raster decoder, packed, on raw PBM and on 8- and 16-bit raw
+// PGM at thresholds that land on, between and beyond sample values.
+func TestDecodeBitmapIntoMatchesBytePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bm := &binimg.Bitmap{} // reused across shapes
+	for _, w := range []int{1, 63, 64, 65, 130} {
+		for _, h := range []int{1, 9} {
+			img := binimg.New(w, h)
+			for i := range img.Pix {
+				img.Pix[i] = uint8(rng.Intn(2))
+			}
+			var p4 bytes.Buffer
+			if err := pnm.EncodePBM(&p4, img, true); err != nil {
+				t.Fatal(err)
+			}
+			bodies := map[string][]byte{"P4": p4.Bytes()}
+			for _, maxVal := range []int{255, 1000} {
+				hdr := fmt.Sprintf("P5\n%d %d\n%d\n", w, h, maxVal)
+				body := []byte(hdr)
+				for i := 0; i < w*h; i++ {
+					v := rng.Intn(maxVal + 1)
+					if maxVal > 255 {
+						body = append(body, byte(v>>8), byte(v))
+					} else {
+						body = append(body, byte(v))
+					}
+				}
+				bodies[fmt.Sprintf("P5/max%d", maxVal)] = body
+			}
+			for name, body := range bodies {
+				for _, level := range []float64{0, 0.25, 0.5, 0.999} {
+					want := &binimg.Image{}
+					if err := pnm.DecodeInto(bytes.NewReader(body), level, want); err != nil {
+						t.Fatal(err)
+					}
+					if err := pnm.DecodeBitmapInto(bytes.NewReader(body), level, bm); err != nil {
+						t.Fatalf("%s %dx%d: %v", name, w, h, err)
+					}
+					if got := bm.ToImage(); !got.Equal(want) {
+						t.Fatalf("%s %dx%d level %v: bitmap decode disagrees with the byte path", name, w, h, level)
+					}
+				}
+			}
+		}
+	}
+	if err := pnm.DecodeBitmapInto(strings.NewReader("P5\n7 0\n255\n"), 0.5, bm); err != nil || bm.Width != 7 || bm.Height != 0 {
+		t.Fatalf("zero-height P5: %dx%d, %v", bm.Width, bm.Height, err)
+	}
+	for _, src := range []string{"P1\n1 1\n1\n", "P5\n4 2\n255\nab"} {
+		if err := pnm.DecodeBitmapInto(strings.NewReader(src), 0.5, bm); err == nil {
+			t.Fatalf("accepted %q", src)
+		}
+	}
+}
+
+// TestPeekHeader: the header is parsed without consuming the body, its
+// payload is the smallest body that can carry the pixels, and a header
+// that runs past the peek window cannot slip through.
+func TestPeekHeader(t *testing.T) {
+	cases := []struct {
+		src  string
+		want pnm.Header
+		need int64
+	}{
+		{"P4\n1048576 1048576\n", pnm.Header{Magic: "P4", Width: 1 << 20, Height: 1 << 20}, 1 << 37},
+		{"P4 # c\n9 2\n\xff\x80\xff\x80", pnm.Header{Magic: "P4", Width: 9, Height: 2}, 4},
+		{"P5\n3 2\n255\nabcdef", pnm.Header{Magic: "P5", Width: 3, Height: 2, MaxVal: 255}, 6},
+		{"P5\n3 2\n65535\n", pnm.Header{Magic: "P5", Width: 3, Height: 2, MaxVal: 65535}, 12},
+		{"P1\n3 2\n", pnm.Header{Magic: "P1", Width: 3, Height: 2}, 6},
+		{"P2\n3 2\n7\n", pnm.Header{Magic: "P2", Width: 3, Height: 2, MaxVal: 7}, 6},
+	}
+	for _, tc := range cases {
+		br := bufio.NewReader(strings.NewReader(tc.src))
+		got, err := pnm.PeekHeader(br)
+		if err != nil || got != tc.want || got.PayloadBytes() != tc.need {
+			t.Fatalf("%q: %+v (payload %d), %v; want %+v (payload %d)", tc.src, got, got.PayloadBytes(), err, tc.want, tc.need)
+		}
+		if br.Buffered() != len(tc.src) {
+			t.Fatalf("%q: PeekHeader consumed the body", tc.src)
+		}
+	}
+	for _, src := range []string{"", "P6\n1 1\n255\n", "P4\n-1 2\n", "P5\n2 2\n0\n", "P4\n3"} {
+		if _, err := pnm.PeekHeader(bufio.NewReader(strings.NewReader(src))); err == nil {
+			t.Fatalf("%q: malformed header accepted", src)
+		}
+	}
+	// Comments that push the dimensions past the 4096-byte window must
+	// fail, whether the window ends before the last token or inside it: the
+	// window takes
+	// in cuts bytes of the height token "1048576\n"; at 8 it all fits.
+	for cut := 0; cut <= 8; cut++ {
+		src := "P4\n#" + strings.Repeat("x", 4096-7-cut) + "\n5 " + "1048576\n" + "rows"
+		h, err := pnm.PeekHeader(bufio.NewReader(strings.NewReader(src)))
+		if fits := cut == 8; fits != (err == nil) || fits && h.Height != 1<<20 {
+			t.Fatalf("window ends %d bytes into the height: %+v, %v", cut, h, err)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	paremsp "repro"
 	"repro/internal/band"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 )
 
@@ -38,9 +39,10 @@ type Config struct {
 	// QueueDepth is how many requests may wait beyond the in-flight ones
 	// before Label rejects with ErrQueueFull. 0 selects 2*Workers.
 	QueueDepth int
-	// Threads is the default PAREMSP thread count per request when the
-	// request does not pin its own. 0 selects GOMAXPROCS/Workers (at least
-	// 1), so a fully busy pool does not oversubscribe the CPUs.
+	// Threads is the default thread count of the parallel labelers
+	// (PBREMSP, PAREMSP, gray, volume) per request when the request does
+	// not pin its own. 0 selects GOMAXPROCS/Workers (at least 1), so a
+	// fully busy pool does not oversubscribe the CPUs.
 	Threads int
 	// OnPanic, when non-nil, observes every worker panic with the recovered
 	// value and the panicking goroutine's stack (the HTTP layer logs them).
@@ -82,6 +84,9 @@ type Engine struct {
 	run func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
 	// runBM is run for bit-packed jobs (LabelBitmap requests).
 	runBM func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
+	// runStats is run for label-map-free bit-packed jobs (LabelBitmapStats
+	// requests).
+	runStats func(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scratch, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error)
 	// runGray is run for gray-level jobs (modes gray and gray-delta).
 	runGray func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
 	// runVol is run for volumetric jobs (mode volume).
@@ -100,7 +105,10 @@ type job struct {
 	vol    *paremsp.Volume
 	stream func() (*band.Result, error)
 	opt    paremsp.Options
-	done   chan jobResult
+	// noRaster marks a bm job that wants no label map: only the count and,
+	// when comps is set, the per-component statistics.
+	noRaster, comps bool
+	done            chan jobResult
 	// enqueued is when the job was admitted to the queue; the worker's
 	// dequeue time minus this is the queue wait.
 	enqueued time.Time
@@ -111,10 +119,11 @@ type job struct {
 }
 
 type jobResult struct {
-	res  *paremsp.Result
-	bres *band.Result
-	vres *paremsp.VolumeResult
-	err  error
+	res   *paremsp.Result
+	comps []paremsp.Component // noRaster jobs with comps set
+	bres  *band.Result
+	vres  *paremsp.VolumeResult
+	err   error
 	// wait is the time the job sat in the queue before a worker picked it
 	// up. It rides the result channel back so the HTTP layer can fill the
 	// request trace from its own goroutine — the worker never touches a
@@ -148,6 +157,7 @@ func NewEngine(cfg Config) *Engine {
 		onPanic:    cfg.OnPanic,
 		run:        paremsp.LabelIntoCtx,
 		runBM:      paremsp.LabelBitmapIntoCtx,
+		runStats:   labelBitmapStats,
 		runGray:    paremsp.LabelGrayIntoCtx,
 		runVol:     paremsp.LabelVolumeIntoCtx,
 	}
@@ -188,9 +198,9 @@ func (e *Engine) PutImage(img *paremsp.Image) {
 	}
 }
 
-// GetBitmap borrows a bit-packed raster from the bitmap pool; decode raw PBM
-// into it with pnm.DecodePBMBitmapInto and hand it to LabelBitmap, which
-// consumes it. If the bitmap never reaches LabelBitmap (e.g. decoding
+// GetBitmap borrows a bit-packed raster from the bitmap pool; decode raw PNM
+// into it with pnm.DecodeBitmapInto and hand it to LabelBitmap or
+// LabelBitmapStats, which consume it. If the bitmap never reaches LabelBitmap (e.g. decoding
 // failed), return it with PutBitmap.
 func (e *Engine) GetBitmap() *paremsp.Bitmap {
 	e.metrics.poolGets[poolBitmap].Add(1)
@@ -273,6 +283,51 @@ func (e *Engine) Label(ctx context.Context, img *paremsp.Image, opt paremsp.Opti
 func (e *Engine) LabelBitmap(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options) (*paremsp.Result, error) {
 	r := e.submit(&job{ctx: ctx, bm: bm, opt: opt, done: make(chan jobResult, 1)})
 	return r.res, r.err
+}
+
+// LabelBitmapStats is LabelBitmap for a caller that wants no label map: the
+// bit-packed labeler's final pass folds every run into per-component
+// statistics instead of writing a raster, so no label map is taken from
+// the pool and the result's Labels is nil. It returns the component count
+// and phase times in the result and, when comps is set, the per-component
+// statistics — exactly paremsp.ComponentsOf over LabelBitmap's label map.
+// With comps unset the fold is skipped. bm is consumed as by LabelBitmap.
+func (e *Engine) LabelBitmapStats(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error) {
+	r := e.submit(&job{ctx: ctx, bm: bm, opt: opt, noRaster: true, comps: comps, done: make(chan jobResult, 1)})
+	return r.res, r.comps, r.err
+}
+
+// labelBitmapStats is the runStats seam: the label-map-free entry points of
+// the bit-packed labelers, validated like paremsp.LabelBitmapIntoCtx.
+func labelBitmapStats(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scratch, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error) {
+	if opt.Mode != "" && opt.Mode != paremsp.ModeBinary {
+		return nil, nil, fmt.Errorf("paremsp: LabelBitmapIntoCtx supports mode %q, got %q", paremsp.ModeBinary, opt.Mode)
+	}
+	alg := opt.Algorithm
+	if alg == "" {
+		alg = paremsp.AlgPBREMSP
+	}
+	if opt.Connectivity != 0 && opt.Connectivity != 8 {
+		return nil, nil, fmt.Errorf("paremsp: algorithm %q supports only 8-connectivity", alg)
+	}
+	f := core.PBREMSPStats
+	switch alg {
+	case paremsp.AlgPBREMSP:
+	case paremsp.AlgBREMSP:
+		f = core.BREMSPStats
+	default:
+		return nil, nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q or %q)",
+			alg, paremsp.AlgBREMSP, paremsp.AlgPBREMSP)
+	}
+	copt := core.Options{Threads: opt.Threads}
+	if opt.UseCASMerger {
+		copt.Merger = core.MergerCAS
+	}
+	n, cs, phases, err := f(ctx, bm, sc, copt, comps)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &paremsp.Result{NumComponents: n, Phases: phases}, cs, nil
 }
 
 // LabelGray is Label for a gray raster (modes gray and gray-delta, see
@@ -612,11 +667,15 @@ func injectWorkerFaults(ctx context.Context) {
 
 // computeRaster runs one raster labeling with panic containment: a panic in
 // the labeling (or an injected one) surfaces as a wrapped ErrWorkerPanic
-// instead of killing the worker goroutine.
-func (e *Engine) computeRaster(j *job, lm *paremsp.LabelMap, sc *paremsp.Scratch) (res *paremsp.Result, npix int, err error) {
+// instead of killing the worker goroutine. lm is nil for noRaster jobs,
+// whose statistics come back in comps.
+func (e *Engine) computeRaster(j *job, lm *paremsp.LabelMap, sc *paremsp.Scratch) (res *paremsp.Result, comps []paremsp.Component, npix int, err error) {
 	defer e.recoverPanic(&err)
 	injectWorkerFaults(j.ctx)
 	switch {
+	case j.noRaster:
+		npix = j.bm.Width * j.bm.Height
+		res, comps, err = e.runStats(j.ctx, j.bm, sc, j.opt, j.comps)
 	case j.img != nil:
 		npix = len(j.img.Pix)
 		res, err = e.run(j.ctx, j.img, lm, sc, j.opt)
@@ -627,7 +686,7 @@ func (e *Engine) computeRaster(j *job, lm *paremsp.LabelMap, sc *paremsp.Scratch
 		npix = j.bm.Width * j.bm.Height
 		res, err = e.runBM(j.ctx, j.bm, lm, sc, j.opt)
 	}
-	return res, npix, err
+	return res, comps, npix, err
 }
 
 // computeVolume is computeRaster for voxel-volume jobs.
@@ -721,11 +780,14 @@ func (e *Engine) worker() {
 			j.done <- jobResult{vres: vres, wait: wait}
 			continue
 		}
-		e.metrics.poolGets[poolLabelMap].Add(1)
-		lm := e.lmPool.Get().(*paremsp.LabelMap)
+		var lm *paremsp.LabelMap
+		if !j.noRaster {
+			e.metrics.poolGets[poolLabelMap].Add(1)
+			lm = e.lmPool.Get().(*paremsp.LabelMap)
+		}
 		e.metrics.poolGets[poolScratch].Add(1)
 		sc := e.scPool.Get().(*paremsp.Scratch)
-		res, npix, err := e.computeRaster(j, lm, sc)
+		res, comps, npix, err := e.computeRaster(j, lm, sc)
 		panicked := errors.Is(err, ErrWorkerPanic)
 		if !panicked {
 			// A panicking labeling may have left lm, sc and the input raster
@@ -738,7 +800,7 @@ func (e *Engine) worker() {
 		e.metrics.busyNs.Add(elapsed)
 		e.metrics.inFlight.Add(-1)
 		if err != nil {
-			if !panicked {
+			if !panicked && lm != nil {
 				e.lmPool.Put(lm)
 			}
 			e.metrics.errors.Add(1)
@@ -763,6 +825,6 @@ func (e *Engine) worker() {
 		e.metrics.phaseHist[phaseMerge].observe(res.Phases.Merge.Nanoseconds())
 		e.metrics.phaseHist[phaseFlatten].observe(res.Phases.Flatten.Nanoseconds())
 		e.metrics.phaseHist[phaseRelabel].observe(res.Phases.Relabel.Nanoseconds())
-		j.done <- jobResult{res: res, wait: wait}
+		j.done <- jobResult{res: res, comps: comps, wait: wait}
 	}
 }

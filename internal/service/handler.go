@@ -41,10 +41,15 @@ type HandlerConfig struct {
 	// (im2bw semantics); requests override it with ?level=. 0 selects the
 	// paper's 0.5.
 	Level float64
-	// DefaultAlgorithm is used when a request does not pin ?alg=. Empty
-	// selects the library default (paremsp). Selecting a bit-packed
-	// algorithm (bremsp/pbremsp) makes raw-PBM uploads take the packed
-	// ingest path by default.
+	// DefaultAlgorithm is used when a binary-mode request does not pin
+	// ?alg=. Empty selects pbremsp, the bit-packed parallel labeler: raw
+	// PNM uploads decode straight into a packed bitmap, and JSON answers
+	// without contours fold component statistics from its runs without a
+	// label map. Its labels are numbered in raster order of each
+	// component's first pixel, chunk-major when it runs on several
+	// threads. The gray and volume modes ignore this setting and use their
+	// own default (the paper's PAREMSP machinery), as does the library
+	// when Options.Algorithm is empty.
 	DefaultAlgorithm paremsp.Algorithm
 	// Jobs, when non-nil, enables the asynchronous job API (POST /v1/jobs
 	// and the /v1/jobs/{id} endpoints) backed by this store. The handler
@@ -113,6 +118,9 @@ func NewHandler(e *Engine, cfg HandlerConfig) *Handler {
 	}
 	if h.maxBytes <= 0 {
 		h.maxBytes = 64 << 20
+	}
+	if h.defaultAlg == "" {
+		h.defaultAlg = paremsp.AlgPBREMSP
 	}
 	if h.level == 0 {
 		h.level = 0.5
@@ -288,7 +296,7 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 		h.rejectDraining(w)
 		return
 	}
-	spec, aerr := h.parseSpec(r)
+	spec, aerr := h.parseSpec(r, paremsp.ModeBinary)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
@@ -332,14 +340,14 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 		gimg *paremsp.GrayImage
 	)
 	if gray {
-		gimg, err = h.decodeGray(kind, body)
+		gimg, err = h.decodeGray(kind, body, bodyLen(r))
 		if err == nil {
 			// Gray labeling has no background: every pixel belongs to a
 			// component, so the foreground density is definitionally 1.
 			d = decoded{width: gimg.Width, height: gimg.Height, density: 1}
 		}
 	} else {
-		d, err = h.decodeRaster(kind, body, spec.opt.Algorithm, spec.level)
+		d, err = h.decodeRaster(kind, body, bodyLen(r), spec.opt.Algorithm, spec.level)
 	}
 	if err != nil {
 		h.decodeError(w, err)
@@ -352,10 +360,19 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.labelCtx(r)
 	defer cancel()
-	var res *paremsp.Result
+	var (
+		res   *paremsp.Result
+		comps []paremsp.Component
+	)
+	wantComps := spec.components && accept == ctJSON
 	switch {
 	case gray:
 		res, err = h.engine.LabelGray(ctx, gimg, spec.opt)
+	case d.bm != nil && accept == ctJSON && !spec.contours:
+		// Nothing downstream reads a label raster: the labeler folds the
+		// statistics from its runs (or only counts) and never writes one.
+		res, comps, err = h.engine.LabelBitmapStats(ctx, d.bm, spec.opt, wantComps)
+		wantComps = false
 	case d.bm != nil:
 		res, err = h.engine.LabelBitmap(ctx, d.bm, spec.opt)
 	default:
@@ -367,8 +384,7 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.engine.PutResult(res)
 
-	var comps []paremsp.Component
-	if spec.components && accept == ctJSON {
+	if wantComps {
 		comps = paremsp.ComponentsOf(res.Labels)
 	}
 	var contours []paremsp.Contour
@@ -484,7 +500,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 				r.Header.Get("Accept"), ctJSON))
 		return
 	}
-	spec, aerr := h.parseSpec(r)
+	spec, aerr := h.parseSpec(r, paremsp.ModeBinary)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
@@ -550,18 +566,12 @@ func (h *Handler) volume(w http.ResponseWriter, r *http.Request) {
 				r.Header.Get("Accept"), ctJSON))
 		return
 	}
-	spec, aerr := h.parseSpec(r)
+	spec, aerr := h.parseSpec(r, paremsp.ModeVolume)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
 	}
-	switch spec.mode {
-	case paremsp.ModeBinary:
-		// mode= absent: the endpoint itself selects the volume workload.
-		spec.mode = paremsp.ModeVolume
-		spec.opt.Mode = paremsp.ModeVolume
-	case paremsp.ModeVolume:
-	default:
+	if spec.mode != paremsp.ModeVolume {
 		writeError(w, http.StatusBadRequest, codeInvalidArgument,
 			fmt.Sprintf("mode %s is served by POST /v1/label", spec.mode))
 		return
@@ -644,18 +654,31 @@ type decoded struct {
 }
 
 // decodeRaster decodes an image body of the given kind ("pnm" or "png")
-// into a pooled raster. Raw PBM paired with a bit-packed algorithm takes
-// the packed ingest path — P4 rows are already 1 bit per pixel, so the
-// byte raster is never materialized; everything else decodes into a byte
-// Image. On error the borrowed raster is already back in its pool. Shared
-// by the synchronous label path and the async job submit path.
-func (h *Handler) decodeRaster(kind string, body *bufio.Reader, alg paremsp.Algorithm, level float64) (decoded, error) {
+// into a pooled raster. A bit-packed algorithm gets a packed bitmap: raw
+// PBM and PGM bodies decode straight into it (P4 rows are already 1 bit
+// per pixel, P5 rows are thresholded into the packed words), so the byte
+// raster is never materialized; other bodies are packed after decoding.
+// Everything else decodes into a byte Image. A PNM header declaring more
+// pixels than the body cap, or a body of known size (>= 0), can carry fails
+// before anything is allocated. On error the borrowed raster is already
+// back in its pool. Shared by the synchronous label path and the async job
+// submit path.
+func (h *Handler) decodeRaster(kind string, body *bufio.Reader, size int64, alg paremsp.Algorithm, level float64) (decoded, error) {
 	if faultinject.Fire(faultinject.DecodeError) {
 		return decoded{}, errors.New("faultinject: decode-error")
 	}
-	if kind == "pnm" && bitPackedAlg(alg) && sniffP4(body) {
+	raw := false
+	if kind == "pnm" {
+		hdr, err := h.checkPNMHeader(body, size)
+		if err != nil {
+			return decoded{}, err
+		}
+		raw = hdr.Magic == "P4" || hdr.Magic == "P5"
+	}
+	packed := bitPackedAlg(alg)
+	if packed && raw {
 		bm := h.engine.GetBitmap()
-		if err := pnm.DecodePBMBitmapInto(body, bm); err != nil {
+		if err := pnm.DecodeBitmapInto(body, level, bm); err != nil {
 			h.engine.PutBitmap(bm)
 			return decoded{}, err
 		}
@@ -673,16 +696,68 @@ func (h *Handler) decodeRaster(kind string, body *bufio.Reader, alg paremsp.Algo
 		h.engine.PutImage(img)
 		return decoded{}, err
 	}
-	return decoded{img: img, width: img.Width, height: img.Height, density: img.Density()}, nil
+	d := decoded{img: img, width: img.Width, height: img.Height, density: img.Density()}
+	if packed {
+		d.bm = h.engine.GetBitmap()
+		d.bm.FromImage(img)
+		h.engine.PutImage(img)
+		d.img = nil
+	}
+	return d, nil
+}
+
+// payloadTooLarge reports a PNM header whose declared pixels need more body
+// bytes than the body cap allows (413).
+type payloadTooLarge struct {
+	hdr         pnm.Header
+	need, limit int64
+}
+
+func (e *payloadTooLarge) Error() string {
+	return fmt.Sprintf("%s header declares a %dx%d image needing %d body bytes, over the %d-byte cap",
+		e.hdr.Magic, e.hdr.Width, e.hdr.Height, e.need, e.limit)
+}
+
+// bodyLen is the request's declared body length, or -1 when unknown.
+func bodyLen(r *http.Request) int64 {
+	if r.ContentLength > 0 {
+		return r.ContentLength
+	}
+	return -1
+}
+
+// checkPNMHeader reads the PNM header at the front of body without
+// consuming it and checks the pixel payload it declares before any decoder
+// sizes a raster from it: over the body cap is a 413, and more than a body
+// of known length (size >= 0) carries is a truncated body, a 400.
+func (h *Handler) checkPNMHeader(body *bufio.Reader, size int64) (pnm.Header, error) {
+	hdr, err := pnm.PeekHeader(body)
+	if err != nil {
+		return hdr, err
+	}
+	need := hdr.PayloadBytes()
+	switch {
+	case need > h.maxBytes:
+		return hdr, &payloadTooLarge{hdr: hdr, need: need, limit: h.maxBytes}
+	case size >= 0 && need > size:
+		return hdr, fmt.Errorf("pnm: %s header declares a %dx%d image needing %d body bytes, but the body holds %d",
+			hdr.Magic, hdr.Width, hdr.Height, need, size)
+	}
+	return hdr, nil
 }
 
 // decodeGray decodes a gray-mode body ("pnm" = PGM, or PNG) into a pooled
 // gray raster; maxval scaling maps every input onto the 0..255 intensity
 // domain the gray labelers compare. On error the raster is already back in
 // its pool. Shared by the synchronous label path and the async gray jobs.
-func (h *Handler) decodeGray(kind string, body *bufio.Reader) (*paremsp.GrayImage, error) {
+func (h *Handler) decodeGray(kind string, body *bufio.Reader, size int64) (*paremsp.GrayImage, error) {
 	if faultinject.Fire(faultinject.DecodeError) {
 		return nil, errors.New("faultinject: decode-error")
+	}
+	if kind == "pnm" {
+		if _, err := h.checkPNMHeader(body, size); err != nil {
+			return nil, err
+		}
 	}
 	g := h.engine.GetGray()
 	var err error
@@ -700,12 +775,20 @@ func (h *Handler) decodeGray(kind string, body *bufio.Reader) (*paremsp.GrayImag
 }
 
 // decodeError writes the HTTP failure for a request-body decode error:
-// 413 when the body ran over the size cap, 400 otherwise.
+// 413 when the body ran over the size cap or its header declared more
+// pixels than the cap can carry, 400 otherwise.
 func (h *Handler) decodeError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	var (
+		tooBig  *http.MaxBytesError
+		tooMany *payloadTooLarge
+	)
+	switch {
+	case errors.As(err, &tooBig):
 		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
 			fmt.Sprintf("image exceeds %d bytes", tooBig.Limit))
+		return
+	case errors.As(err, &tooMany):
+		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, tooMany.Error())
 		return
 	}
 	writeError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
@@ -714,12 +797,6 @@ func (h *Handler) decodeError(w http.ResponseWriter, err error) {
 // bitPackedAlg reports whether alg consumes a packed bitmap natively.
 func bitPackedAlg(alg paremsp.Algorithm) bool {
 	return alg == paremsp.AlgBREMSP || alg == paremsp.AlgPBREMSP
-}
-
-// sniffP4 reports whether the body starts with the raw-PBM magic.
-func sniffP4(body *bufio.Reader) bool {
-	magic, err := body.Peek(2)
-	return err == nil && magic[0] == 'P' && magic[1] == '4'
 }
 
 // bodyKind resolves the request body codec ("pnm" or "png") from the

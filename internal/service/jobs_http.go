@@ -167,12 +167,13 @@ func (h *Handler) jobsSubmit(w http.ResponseWriter, r *http.Request) {
 		h.rejectDraining(w)
 		return
 	}
-	spec, aerr := h.parseSpec(r)
+	kindParam := r.URL.Query().Get("kind")
+	spec, aerr := h.parseSpec(r, kindMode(jobs.Kind(kindParam)))
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
 	}
-	kind, aerr := jobKindFor(r.URL.Query().Get("kind"), spec)
+	kind, aerr := jobKindFor(kindParam, spec)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
@@ -282,16 +283,16 @@ func jobKindFor(kindParam string, spec requestSpec) (jobs.Kind, *apiError) {
 			kind = jobs.KindLabels
 		}
 	}
-	// Modes each kind accepts; binary (the default when ?mode= is absent)
-	// is always accepted and means "the kind's natural mode".
+	// Modes each kind accepts; with ?mode= absent the spec already holds
+	// the kind's natural mode (kindMode).
 	var okModes []paremsp.Mode
 	switch kind {
 	case jobs.KindLabels, jobs.KindStats, jobs.KindContours:
 		okModes = []paremsp.Mode{paremsp.ModeBinary}
 	case jobs.KindGray:
-		okModes = []paremsp.Mode{paremsp.ModeBinary, paremsp.ModeGray, paremsp.ModeGrayDelta}
+		okModes = []paremsp.Mode{paremsp.ModeGray, paremsp.ModeGrayDelta}
 	case jobs.KindVolume:
-		okModes = []paremsp.Mode{paremsp.ModeBinary, paremsp.ModeVolume}
+		okModes = []paremsp.Mode{paremsp.ModeVolume}
 	default:
 		return "", badParam("invalid kind %q (want %s, %s, %s, %s or %s)", kindParam,
 			jobs.KindLabels, jobs.KindStats, jobs.KindContours, jobs.KindGray, jobs.KindVolume)
@@ -305,6 +306,19 @@ func jobKindFor(kindParam string, spec requestSpec) (jobs.Kind, *apiError) {
 	return kind, nil
 }
 
+// kindMode is the natural mode of an explicit ?kind=: the mode a job of
+// that kind runs when ?mode= is absent.
+func kindMode(kind jobs.Kind) paremsp.Mode {
+	switch kind {
+	case jobs.KindGray:
+		return paremsp.ModeGray
+	case jobs.KindVolume:
+		return paremsp.ModeVolume
+	default:
+		return paremsp.ModeBinary
+	}
+}
+
 // submitJob creates (or dedups to) the job for one payload — ct is its
 // declared Content-Type ("" sniffs, matching /v1/label's rules) — and
 // hands new work to the engine via admitJob. shedErr is non-nil
@@ -313,22 +327,11 @@ func jobKindFor(kindParam string, spec requestSpec) (jobs.Kind, *apiError) {
 // submission may already have dedup'd to its ID — and failed jobs are
 // replaced on resubmission.
 func (h *Handler) submitJob(body []byte, ct string, kind jobs.Kind, spec requestSpec) (entry jobJSON, shedErr error) {
-	// A gray job submitted without ?mode= labels exact gray levels; a
-	// volume job's mode is implied by its kind. Pinning the mode here keeps
-	// the journaled Params and the job key identical however the request
-	// spelled it.
-	mode := spec.mode
-	switch {
-	case kind == jobs.KindGray && mode == paremsp.ModeBinary:
-		mode = paremsp.ModeGray
-	case kind == jobs.KindVolume:
-		mode = paremsp.ModeVolume
-	}
 	// paremsp.JobKeyMode owns the key normalization (default algorithm,
 	// the mode's connectivity, the delta slot for gray-delta jobs, level
 	// zeroed where binarization cannot matter), so client-side precomputed
 	// IDs match the server's and equivalent submissions dedup.
-	id := paremsp.JobKeyMode(kind, mode, spec.opt.Algorithm, spec.opt.Connectivity, spec.level, spec.opt.Delta, body)
+	id := paremsp.JobKeyMode(kind, spec.mode, spec.opt.Algorithm, spec.opt.Connectivity, spec.level, spec.opt.Delta, body)
 	p := jobs.Params{
 		Alg:         string(spec.opt.Algorithm),
 		Conn:        spec.opt.Connectivity,
@@ -338,8 +341,8 @@ func (h *Handler) submitJob(body []byte, ct string, kind jobs.Kind, spec request
 		ContentType: ct,
 		Delta:       spec.opt.Delta,
 	}
-	if mode != paremsp.ModeBinary {
-		p.Mode = string(mode)
+	if spec.mode != paremsp.ModeBinary {
+		p.Mode = string(spec.mode)
 	}
 
 	j, existed := h.jobs.CreateOrGet(id, kind, p, body)
@@ -437,7 +440,7 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 			jcancel()
 			return derr
 		}
-		g, derr := h.decodeGray(bkind, br)
+		g, derr := h.decodeGray(bkind, br, int64(len(body)))
 		if derr != nil {
 			jcancel()
 			return derr
@@ -449,7 +452,7 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 		bkind, derr := bodyKind(p.ContentType, br)
 		if derr == nil {
 			var d decoded
-			if d, derr = h.decodeRaster(bkind, br, opt.Algorithm, p.Level); derr == nil {
+			if d, derr = h.decodeRaster(bkind, br, int64(len(body)), opt.Algorithm, p.Level); derr == nil {
 				width, height, density = d.width, d.height, d.density
 				if d.bm != nil {
 					sub, err = h.engine.SubmitBitmap(jctx, d.bm, opt, onStart)

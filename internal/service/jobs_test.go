@@ -146,11 +146,11 @@ func TestJobLifecycle(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	img := testImage(t)
 	// Job A occupies the single worker; job B (a different image) queues.
@@ -454,11 +454,11 @@ func TestJobResultNotReady(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 	id := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0].ID
 	<-started
 
@@ -486,11 +486,11 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	eng, store, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	imgs := make([][]byte, 3)
 	for i := range imgs {
@@ -531,7 +531,7 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	if c := store.Counts(); c.Failed != 1 {
 		t.Fatalf("failed gauge = %d, want 1", c.Failed)
 	}
-	shedID := jobs.Key(jobs.KindLabels, "paremsp", 8, 0, imgs[2])
+	shedID := jobs.Key(jobs.KindLabels, "pbremsp", 8, 0, imgs[2])
 	sj, code := getJobStatus(t, srv.URL, shedID)
 	if code != http.StatusOK || sj.State != "failed" || sj.Error == "" {
 		t.Fatalf("shed placeholder = %+v (status %d), want an observable failed job", sj, code)

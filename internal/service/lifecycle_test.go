@@ -21,14 +21,14 @@ import (
 // value per parked call.
 func blockFirstRun(eng *Engine, started chan<- struct{}) {
 	var calls atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 }
 
 // TestEngineLabelCancelMidRun cancels a labeling that is already on a
@@ -130,13 +130,13 @@ func TestDrainLifecycle(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 	inflight := make(chan *http.Response, 1)
 	go func() {
 		inflight <- post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
@@ -194,13 +194,13 @@ func TestDrainRejectsQueuedJobs(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	// One job on the worker, one parked in the queue.
 	running, err := eng.SubmitLabel(context.Background(), testImage(t), paremsp.Options{}, nil)
@@ -256,12 +256,12 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		eng.Close()
 	})
 	var calls atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			panic("labeling exploded")
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
 	body, _ := io.ReadAll(resp.Body)
@@ -367,13 +367,13 @@ func TestJobDrainCancelsViaBaseContext(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	// First job occupies the worker; the second sits in the queue with the
 	// base context as its lifetime.
@@ -402,14 +402,14 @@ func TestJobDeleteReleasesWorker(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	started := make(chan struct{}, 1)
 	var runs atomic.Int32
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	hookLabelers(eng, func(ctx context.Context) error {
 		if runs.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	a := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0]
 	<-started

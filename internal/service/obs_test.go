@@ -197,10 +197,11 @@ func TestPromExpositionValid(t *testing.T) {
 	if !regexp.MustCompile(`ccserve_http_request_duration_ns_bucket\{endpoint="label",le="\+Inf"\} [1-9]`).MatchString(text) {
 		t.Fatalf("label endpoint histogram recorded no requests:\n%s", text)
 	}
-	// The raster traffic above borrowed from the image, labelmap and scratch
-	// pools; their get counters must be live (the bitmap pool stays 0 — no
-	// bit-packed requests were sent).
-	for _, pool := range []string{"image", "labelmap", "scratch"} {
+	// The traffic above ran the default bit-packed labeler: raw PBM decodes
+	// into the bitmap pool, every labeling borrows scratch, and the job's
+	// retained raster comes from the labelmap pool; their get counters must
+	// be live (the image pool stays 0 — no byte raster was decoded).
+	for _, pool := range []string{"bitmap", "labelmap", "scratch"} {
 		if !regexp.MustCompile(`ccserve_pool_get_total\{pool="` + pool + `"\} [1-9]`).MatchString(text) {
 			t.Fatalf("pool %s recorded no gets:\n%s", pool, text)
 		}
@@ -447,7 +448,7 @@ func TestAccessLogFields(t *testing.T) {
 	if entry["method"] != "POST" || entry["status"] != float64(http.StatusOK) {
 		t.Fatalf("access entry = %v", entry)
 	}
-	if entry["alg"] != "paremsp" || entry["pixels"] != float64(20) {
+	if entry["alg"] != "pbremsp" || entry["pixels"] != float64(20) {
 		t.Fatalf("access entry missing alg/pixels: %v", entry)
 	}
 	if id, _ := entry["id"].(string); len(id) != 16 {

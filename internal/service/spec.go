@@ -98,13 +98,17 @@ type requestSpec struct {
 }
 
 // parseSpec parses and validates the query parameters shared by the
-// admission endpoints. Connectivity is validated against the mode's
-// neighborhood (binary: 4/8, gray: 8, volume: 26); 0 always selects the
-// mode's default.
-func (h *Handler) parseSpec(r *http.Request) (requestSpec, *apiError) {
+// admission endpoints; native is the mode the endpoint serves when ?mode=
+// is absent. Connectivity is validated against the mode's neighborhood
+// (binary: 4/8, gray: 8, volume: 26); 0 always selects the mode's default.
+//
+// This is the one place the default algorithm is resolved: a binary-mode
+// request without ?alg= runs the handler's default (pbremsp unless
+// configured). Other modes keep an empty algorithm, which their labelers
+// resolve to their own default.
+func (h *Handler) parseSpec(r *http.Request, native paremsp.Mode) (requestSpec, *apiError) {
 	q := r.URL.Query()
-	spec := requestSpec{mode: paremsp.ModeBinary, level: h.level, components: true}
-	spec.opt.Algorithm = h.defaultAlg
+	spec := requestSpec{mode: native, level: h.level, components: true}
 
 	if v := q.Get("mode"); v != "" {
 		m := paremsp.Mode(v)
@@ -121,6 +125,8 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, *apiError) {
 			return spec, badParam("unknown algorithm %q", v)
 		}
 		spec.opt.Algorithm = a
+	} else if spec.mode == paremsp.ModeBinary {
+		spec.opt.Algorithm = h.defaultAlg
 	}
 	if v := q.Get("threads"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -132,7 +138,7 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, *apiError) {
 	if v := q.Get("conn"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || !connValidFor(spec.mode, n) {
-			return spec, badParam("invalid conn %q (mode %s wants %s)", v, spec.mode, connWant(spec.mode))
+			return spec, badParam("invalid conn %q (mode binary wants 4 or 8, gray 8, volume 26)", v)
 		}
 		spec.opt.Connectivity = n
 	}
@@ -187,17 +193,5 @@ func connValidFor(mode paremsp.Mode, conn int) bool {
 		return conn == 0 || conn == 26
 	default:
 		return conn == 4 || conn == 8
-	}
-}
-
-// connWant words the valid ?conn= values per mode for error messages.
-func connWant(mode paremsp.Mode) string {
-	switch mode {
-	case paremsp.ModeGray, paremsp.ModeGrayDelta:
-		return "8"
-	case paremsp.ModeVolume:
-		return "26"
-	default:
-		return "4 or 8"
 	}
 }

@@ -40,52 +40,6 @@ func (c Component) BBoxArea() int { return c.Width() * c.Height() }
 // Extent returns Area / BBoxArea, a standard compactness measure in (0, 1].
 func (c Component) Extent() float64 { return float64(c.Area) / float64(c.BBoxArea()) }
 
-// Components computes per-component statistics from a label map whose labels
-// are consecutive 1..n (the postcondition of every labeler in this
-// repository). The result is indexed by label-1.
-func Components(lm *binimg.LabelMap) []Component {
-	n := int(lm.Max())
-	out := make([]Component, n)
-	for i := range out {
-		out[i] = Component{Label: Label(i + 1), MinX: lm.Width, MinY: lm.Height, MaxX: -1, MaxY: -1}
-	}
-	var sumX, sumY []int64
-	sumX = make([]int64, n)
-	sumY = make([]int64, n)
-	for y := 0; y < lm.Height; y++ {
-		row := y * lm.Width
-		for x := 0; x < lm.Width; x++ {
-			v := lm.L[row+x]
-			if v == 0 {
-				continue
-			}
-			c := &out[v-1]
-			c.Area++
-			if x < c.MinX {
-				c.MinX = x
-			}
-			if x > c.MaxX {
-				c.MaxX = x
-			}
-			if y < c.MinY {
-				c.MinY = y
-			}
-			if y > c.MaxY {
-				c.MaxY = y
-			}
-			sumX[v-1] += int64(x)
-			sumY[v-1] += int64(y)
-		}
-	}
-	for i := range out {
-		if out[i].Area > 0 {
-			out[i].CentroidX = float64(sumX[i]) / float64(out[i].Area)
-			out[i].CentroidY = float64(sumY[i]) / float64(out[i].Area)
-		}
-	}
-	return out
-}
-
 // AreaHistogram buckets component areas: hist[k] counts components with
 // 2^k <= area < 2^(k+1) (hist[0] counts area 1).
 func AreaHistogram(comps []Component) []int {

@@ -9,8 +9,17 @@ package unionfind
 // p[0] is the background slot and must stay 0; the sweep covers labels
 // 1..count inclusive. It returns the number of distinct final labels n.
 func Flatten(p []Label, count Label) Label {
-	var k Label = 1
-	for i := Label(1); i <= count; i++ {
+	return FlattenRange(p, 1, count, 1) - 1
+}
+
+// FlattenRange is Flatten over the labels lo..hi of a label space made of
+// disjoint created ranges, swept range by range in increasing order: every
+// label below lo must already be final, and the representatives found here
+// are numbered k, k+1, .... It returns the next unused final label. Every
+// slot of lo..hi must have been created (an empty range has hi = lo-1), so
+// unlike FlattenSparse the array needs no zeroing.
+func FlattenRange(p []Label, lo, hi, k Label) Label {
+	for i := lo; i <= hi; i++ {
 		if p[i] < i {
 			p[i] = p[p[i]]
 		} else {
@@ -18,7 +27,7 @@ func Flatten(p []Label, count Label) Label {
 			k++
 		}
 	}
-	return k - 1
+	return k
 }
 
 // FlattenSparse is Flatten for the parallel algorithm's sparse label space:
