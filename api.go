@@ -200,8 +200,9 @@ type Result struct {
 	Labels *LabelMap
 	// NumComponents is the number of connected components found.
 	NumComponents int
-	// Phases holds the per-phase times of the parallel algorithms (PAREMSP
-	// and PBREMSP); zero for the sequential algorithms and baselines.
+	// Phases holds the per-phase times of PAREMSP and of the bit-packed
+	// algorithms (BREMSP is PBREMSP at one thread); zero for AREMSP,
+	// CCLREMSP and the baselines.
 	Phases PhaseTimes
 }
 

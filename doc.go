@@ -92,10 +92,13 @@
 // (reshaped with Reset) and a Scratch holding the union-find equivalence
 // arrays. Reusing both across calls makes sustained labeling with the
 // paper's algorithms allocation-free, the regime a long-lived server needs.
-// internal/service builds on it: an Engine runs LabelInto on a bounded
-// worker pool with sync.Pool-managed rasters and backpressure, and its HTTP
-// handler (cmd/ccserve) serves POST /v1/label with JSON statistics, PGM/PNG
-// label maps, or CCL1 label streams, plus /healthz and /metrics with the
+// internal/service builds on it: an Engine runs every labeling — byte,
+// bit-packed, gray, volume and band-streamed — as one kind of task on a
+// bounded worker pool with sync.Pool-managed rasters and backpressure
+// (its library entry points are Label, over a pooled image, and Stats,
+// over a band source), and its HTTP handler (cmd/ccserve) serves POST
+// /v1/label with JSON statistics, PGM/PNG label maps, or CCL1 label
+// streams, plus /healthz and /metrics with the
 // per-phase timings above as live counters. Binary requests without ?alg=
 // run PBREMSP (gray and volume requests keep PAREMSP, which also stays the
 // library default): raw PBM and PGM bodies decode straight into a Bitmap,

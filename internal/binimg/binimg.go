@@ -320,3 +320,25 @@ func (im *Image) String() string {
 	}
 	return b.String()
 }
+
+// SplitEven divides [0, n) into k chunks for the parallel labelers and
+// returns the k+1 chunk bounds. The ⌈n/step⌉ whole steps (row pairs for
+// step 2) are dealt out as evenly as possible, the leading chunks taking
+// one extra step each when they do not divide evenly; every bound is a
+// multiple of step except the final n. With k greater than the number of
+// steps the trailing chunks are empty.
+func SplitEven(n, k, step int) []int {
+	units := (n + step - 1) / step
+	bounds := make([]int, k+1)
+	base, rem := units/k, units%k
+	u := 0
+	for c := 0; c < k; c++ {
+		bounds[c] = min(u*step, n)
+		u += base
+		if c < rem {
+			u++
+		}
+	}
+	bounds[k] = n
+	return bounds
+}

@@ -2,6 +2,7 @@ package binimg
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -396,5 +397,27 @@ func TestStringOnWideImage(t *testing.T) {
 	}
 	if !strings.Contains(New(2, 2).String(), "\n") {
 		t.Fatal("multi-row String missing newline")
+	}
+}
+
+func TestSplitEven(t *testing.T) {
+	for _, tc := range []struct {
+		n, k, step int
+		want       []int
+	}{
+		{n: 10, k: 1, step: 1, want: []int{0, 10}},
+		{n: 10, k: 3, step: 1, want: []int{0, 4, 7, 10}},
+		{n: 3, k: 5, step: 1, want: []int{0, 1, 2, 3, 3, 3}},
+		{n: 0, k: 2, step: 1, want: []int{0, 0, 0}},
+		{n: 9, k: 1, step: 2, want: []int{0, 9}},
+		{n: 9, k: 2, step: 2, want: []int{0, 6, 9}},
+		{n: 10, k: 3, step: 2, want: []int{0, 4, 8, 10}},
+		{n: 11, k: 4, step: 2, want: []int{0, 4, 8, 10, 11}},
+		{n: 3, k: 4, step: 2, want: []int{0, 2, 3, 3, 3}},
+	} {
+		got := SplitEven(tc.n, tc.k, tc.step)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("SplitEven(%d, %d, %d) = %v, want %v", tc.n, tc.k, tc.step, got, tc.want)
+		}
 	}
 }

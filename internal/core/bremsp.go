@@ -34,25 +34,23 @@ import (
 // BREMSP is the bit-packed sequential algorithm: pack to 1 bpp, run-based
 // scan (sink per run), FLATTEN, run-by-run labeling. Labels img into lm
 // (consecutive labels 1..n in raster order of each component's first pixel,
-// background 0) and returns n. The packing pass runs at memcpy speed and is
-// not polled; the scan and relabel passes are.
+// background 0) and returns n with the phase times of PBREMSP at one
+// thread. The packing pass runs at memcpy speed and is not polled; the scan
+// and relabel passes are.
 func BREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, _ Options) (int, PhaseTimes, error) {
-	n, _, err := PBREMSP(ctx, img, lm, sc, Options{Threads: 1})
-	return n, PhaseTimes{}, err
+	return PBREMSP(ctx, img, lm, sc, Options{Threads: 1})
 }
 
 // BREMSPBitmap is BREMSP over an already-packed bitmap — the entry point for
 // callers that hold the packed raster natively (the service's raw-PNM ingest
 // decodes straight into one, skipping the byte raster entirely).
 func BREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, _ Options) (int, PhaseTimes, error) {
-	n, _, err := PBREMSPBitmap(ctx, bm, lm, sc, Options{Threads: 1})
-	return n, PhaseTimes{}, err
+	return PBREMSPBitmap(ctx, bm, lm, sc, Options{Threads: 1})
 }
 
 // BREMSPStats is BREMSPBitmap without the label raster (see PBREMSPStats).
 func BREMSPStats(ctx context.Context, bm *binimg.Bitmap, sc *Scratch, _ Options, comps bool) (int, []stats.Component, PhaseTimes, error) {
-	n, cs, _, err := PBREMSPStats(ctx, bm, sc, Options{Threads: 1}, comps)
-	return n, cs, PhaseTimes{}, err
+	return PBREMSPStats(ctx, bm, sc, Options{Threads: 1}, comps)
 }
 
 // PBREMSP labels img into lm with the parallel bit-packed algorithm and
@@ -174,7 +172,7 @@ func labelRuns(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, sc *Sc
 		return runLabeling{}, nil
 	}
 	threads = min(threads, h)
-	starts := rowChunkStarts(h, threads)
+	starts := binimg.SplitEven(h, threads, 1)
 
 	stride := Label(scan.RunLabelStride(w))
 	p := sc.parentsUncleared(int(Label(h) * stride))
@@ -321,21 +319,4 @@ func foldRuns(rs *scan.RunSet, p []Label, accs []stats.Acc, own Label, f *foreig
 		}
 	}
 	return true
-}
-
-// rowChunkStarts splits h rows over threads chunks as evenly as possible
-// (len = threads+1; no row-pair constraint — the run scan is single-row).
-func rowChunkStarts(h, threads int) []int {
-	starts := make([]int, threads+1)
-	base, rem := h/threads, h%threads
-	row := 0
-	for c := 0; c < threads; c++ {
-		starts[c] = row
-		row += base
-		if c < rem {
-			row++
-		}
-	}
-	starts[threads] = h
-	return starts
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/binimg"
+)
 
 // TestChunkStartsInvariants pins the chunk geometry PAREMSP's correctness
 // rests on: chunks cover [0, h) exactly, every chunk starts on an even row
@@ -9,7 +13,7 @@ func TestChunkStartsInvariants(t *testing.T) {
 	for h := 1; h <= 70; h++ {
 		numPairs := (h + 1) / 2
 		for threads := 1; threads <= numPairs; threads++ {
-			starts := chunkStarts(numPairs, threads, h)
+			starts := binimg.SplitEven(h, threads, 2)
 			if len(starts) != threads+1 {
 				t.Fatalf("h=%d threads=%d: %d boundaries, want %d", h, threads, len(starts), threads+1)
 			}

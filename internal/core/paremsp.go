@@ -125,7 +125,7 @@ func PAREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Sc
 	if threads > numPairs {
 		threads = numPairs
 	}
-	starts := chunkStarts(numPairs, threads, h)
+	starts := binimg.SplitEven(h, threads, 2)
 
 	stride := Label(scan.RowPairLabelStride(w))
 	maxLabel := Label(numPairs) * stride
@@ -201,25 +201,6 @@ func PAREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Sc
 	}
 
 	return int(n), times, nil
-}
-
-// chunkStarts splits numPairs row pairs over threads chunks as evenly as
-// possible and returns the chunk start rows plus the terminal row h
-// (len = threads+1). Every chunk gets an even number of rows except possibly
-// the last when h is odd.
-func chunkStarts(numPairs, threads, h int) []int {
-	starts := make([]int, threads+1)
-	base, rem := numPairs/threads, numPairs%threads
-	pair := 0
-	for c := 0; c < threads; c++ {
-		starts[c] = pair * 2
-		pair += base
-		if c < rem {
-			pair++
-		}
-	}
-	starts[threads] = h
-	return starts
 }
 
 // mergeFunc returns the configured concurrent union bound to p, drawing the

@@ -45,18 +45,8 @@ func PAREMSP2D(img *binimg.Image, tilesX, tilesY, threads int) (*binimg.LabelMap
 		threads = runtime.GOMAXPROCS(0)
 	}
 
-	xBounds := splitEven(w, tilesX)
-	yBounds := make([]int, tilesY+1)
-	base, rem := numPairs/tilesY, numPairs%tilesY
-	pair := 0
-	for ty := 0; ty < tilesY; ty++ {
-		yBounds[ty] = pair * 2
-		pair += base
-		if ty < rem {
-			pair++
-		}
-	}
-	yBounds[tilesY] = h
+	xBounds := binimg.SplitEven(w, tilesX, 1)
+	yBounds := binimg.SplitEven(h, tilesY, 2)
 
 	// Disjoint per-tile label ranges sized for the largest tile.
 	maxTileW, maxTileH := 0, 0
@@ -126,23 +116,6 @@ func PAREMSP2D(img *binimg.Image, tilesX, tilesY, threads int) (*binimg.LabelMap
 	n := unionfind.FlattenSparse(p, Label(len(p)-1))
 	unionfind.RelabelBands(lm.L, p, w, threads, nil)
 	return lm, int(n)
-}
-
-// splitEven returns n+1 boundaries dividing [0, total) into n near-equal
-// ranges.
-func splitEven(total, n int) []int {
-	bounds := make([]int, n+1)
-	base, rem := total/n, total%n
-	pos := 0
-	for i := 0; i < n; i++ {
-		bounds[i] = pos
-		pos += base
-		if i < rem {
-			pos++
-		}
-	}
-	bounds[n] = total
-	return bounds
 }
 
 // mergeBoundaryCol unites every foreground pixel of the given tile-start

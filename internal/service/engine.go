@@ -70,45 +70,65 @@ type Engine struct {
 	// onPanic is Config.OnPanic (may be nil).
 	onPanic func(v any, stack []byte)
 
-	imgPool  sync.Pool // *paremsp.Image
-	bmPool   sync.Pool // *paremsp.Bitmap
-	lmPool   sync.Pool // *paremsp.LabelMap
-	scPool   sync.Pool // *paremsp.Scratch
-	grayPool sync.Pool // *paremsp.GrayImage
-	volPool  sync.Pool // *paremsp.Volume
-	lvPool   sync.Pool // *paremsp.LabelVolumeMap
+	images    pool[paremsp.Image]
+	bitmaps   pool[paremsp.Bitmap]
+	labelMaps pool[paremsp.LabelMap]
+	scratch   pool[paremsp.Scratch]
+	grays     pool[paremsp.GrayImage]
+	volumes   pool[paremsp.Volume]
+	labelVols pool[paremsp.LabelVolumeMap]
 
-	// run performs one labeling; tests substitute it to control timing. The
-	// context is the request's: the labeling polls it between row blocks and
-	// returns its error when canceled.
-	run func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runBM is run for bit-packed jobs (LabelBitmap requests).
-	runBM func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runStats is run for label-map-free bit-packed jobs (LabelBitmapStats
-	// requests).
-	runStats func(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scratch, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error)
-	// runGray is run for gray-level jobs (modes gray and gray-delta).
-	runGray func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runVol is run for volumetric jobs (mode volume).
-	runVol func(ctx context.Context, vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error)
+	// hook, when non-nil, runs on the worker just before every task, under
+	// the job's context; a non-nil error fails the job with it. Tests set
+	// it to hold a worker, fail a job or panic in one.
+	hook func(ctx context.Context) error
 }
 
-// job carries one request; exactly one of img, bm, gray, vol and stream is
-// non-nil. stream jobs run the out-of-core band labeler on the worker (the
-// thunk reads the request body itself), so they obey the same in-flight
-// bound and queue backpressure as raster labelings.
+// pool is a typed sync.Pool that counts its gets, and the gets that had to
+// allocate, into one pool label of ccserve_pool_{get,miss}_total: a get
+// that finds nothing to reuse is exactly one New call, so gets − misses =
+// hits.
+type pool[T any] struct {
+	p    sync.Pool
+	gets *atomic.Int64
+}
+
+func (p *pool[T]) init(m *metrics, i int) {
+	p.gets = &m.poolGets[i]
+	p.p.New = func() any { m.poolMisses[i].Add(1); return new(T) }
+}
+
+func (p *pool[T]) get() *T {
+	p.gets.Add(1)
+	return p.p.Get().(*T)
+}
+
+func (p *pool[T]) put(v *T) {
+	if v != nil {
+		p.p.Put(v)
+	}
+}
+
+// task is the work of one job. run executes it on the worker under the
+// job's context: it borrows the output buffers it needs from the engine's
+// pools and hands them, and the input, back once the labeler returns, so a
+// panic unwinds past every put-back and nothing the labeling touched is
+// re-pooled. put returns the input to its pool for a job rejected unrun.
+type task struct {
+	run func(ctx context.Context) jobResult
+	put func()
+	// stream marks a band-streaming task, which reads its source (an HTTP
+	// request body, for /v1/stats) on the worker.
+	stream bool
+}
+
+// job is one task admitted to the queue.
 type job struct {
-	ctx    context.Context
-	img    *paremsp.Image
-	bm     *paremsp.Bitmap
-	gray   *paremsp.GrayImage
-	vol    *paremsp.Volume
-	stream func() (*band.Result, error)
-	opt    paremsp.Options
-	// noRaster marks a bm job that wants no label map: only the count and,
-	// when comps is set, the per-component statistics.
-	noRaster, comps bool
-	done            chan jobResult
+	ctx  context.Context
+	task task
+	done chan jobResult
+	// pos is the queue length just after admission, this job included.
+	pos int
 	// enqueued is when the job was admitted to the queue; the worker's
 	// dequeue time minus this is the queue wait.
 	enqueued time.Time
@@ -118,12 +138,18 @@ type job struct {
 	onStart func()
 }
 
+// jobResult is a job's outcome: on success exactly one of res (raster
+// tasks; comps too when the statistics were folded without a label map),
+// bres (stream tasks) and vres (volume tasks) is set.
 type jobResult struct {
 	res   *paremsp.Result
-	comps []paremsp.Component // noRaster jobs with comps set
+	comps []paremsp.Component
 	bres  *band.Result
 	vres  *paremsp.VolumeResult
 	err   error
+	// pixels and components feed the engine's throughput counters.
+	pixels     int64
+	components int
 	// wait is the time the job sat in the queue before a worker picked it
 	// up. It rides the result channel back so the HTTP layer can fill the
 	// request trace from its own goroutine — the worker never touches a
@@ -155,21 +181,14 @@ func NewEngine(cfg Config) *Engine {
 		threads:    threads,
 		queue:      make(chan *job, depth),
 		onPanic:    cfg.OnPanic,
-		run:        paremsp.LabelIntoCtx,
-		runBM:      paremsp.LabelBitmapIntoCtx,
-		runStats:   labelBitmapStats,
-		runGray:    paremsp.LabelGrayIntoCtx,
-		runVol:     paremsp.LabelVolumeIntoCtx,
 	}
-	// Pool miss accounting lives in the New closures: a pool Get that finds
-	// nothing to reuse is exactly one New call, so gets − misses = hits.
-	e.imgPool.New = func() any { e.metrics.poolMisses[poolImage].Add(1); return &paremsp.Image{} }
-	e.bmPool.New = func() any { e.metrics.poolMisses[poolBitmap].Add(1); return &paremsp.Bitmap{} }
-	e.lmPool.New = func() any { e.metrics.poolMisses[poolLabelMap].Add(1); return &paremsp.LabelMap{} }
-	e.scPool.New = func() any { e.metrics.poolMisses[poolScratch].Add(1); return &paremsp.Scratch{} }
-	e.grayPool.New = func() any { e.metrics.poolMisses[poolGray].Add(1); return &paremsp.GrayImage{} }
-	e.volPool.New = func() any { e.metrics.poolMisses[poolVolume].Add(1); return &paremsp.Volume{} }
-	e.lvPool.New = func() any { e.metrics.poolMisses[poolLabelVol].Add(1); return &paremsp.LabelVolumeMap{} }
+	e.images.init(&e.metrics, poolImage)
+	e.bitmaps.init(&e.metrics, poolBitmap)
+	e.labelMaps.init(&e.metrics, poolLabelMap)
+	e.scratch.init(&e.metrics, poolScratch)
+	e.grays.init(&e.metrics, poolGray)
+	e.volumes.init(&e.metrics, poolVolume)
+	e.labelVols.init(&e.metrics, poolLabelVol)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -184,80 +203,25 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) QueueDepth() int { return e.queueDepth }
 
 // GetImage borrows a binary image from the raster pool; decode into it with
-// the DecodeInto helpers and hand it to Label, which consumes it. If the
-// image never reaches Label (e.g. decoding failed), return it with PutImage.
-func (e *Engine) GetImage() *paremsp.Image {
-	e.metrics.poolGets[poolImage].Add(1)
-	return e.imgPool.Get().(*paremsp.Image)
-}
-
-// PutImage returns a borrowed image to the raster pool.
-func (e *Engine) PutImage(img *paremsp.Image) {
-	if img != nil {
-		e.imgPool.Put(img)
-	}
-}
-
-// GetBitmap borrows a bit-packed raster from the bitmap pool; decode raw PNM
-// into it with pnm.DecodeBitmapInto and hand it to LabelBitmap or
-// LabelBitmapStats, which consume it. If the bitmap never reaches LabelBitmap (e.g. decoding
-// failed), return it with PutBitmap.
-func (e *Engine) GetBitmap() *paremsp.Bitmap {
-	e.metrics.poolGets[poolBitmap].Add(1)
-	return e.bmPool.Get().(*paremsp.Bitmap)
-}
-
-// PutBitmap returns a borrowed bitmap to the bitmap pool.
-func (e *Engine) PutBitmap(bm *paremsp.Bitmap) {
-	if bm != nil {
-		e.bmPool.Put(bm)
-	}
-}
+// the DecodeInto helpers and hand it to Label, which consumes it.
+func (e *Engine) GetImage() *paremsp.Image { return e.images.get() }
 
 // PutResult returns a Label result's label map to the raster pool. Call it
 // after the response has been written; the result must not be used afterward.
 func (e *Engine) PutResult(res *paremsp.Result) {
 	if res != nil && res.Labels != nil {
-		e.lmPool.Put(res.Labels)
+		e.labelMaps.put(res.Labels)
 		res.Labels = nil
 	}
 }
 
-// GetGray borrows a gray raster from the gray pool; decode into it with
-// pnm.DecodeGrayInto and hand it to LabelGray, which consumes it. If it
-// never reaches LabelGray, return it with PutGray.
-func (e *Engine) GetGray() *paremsp.GrayImage {
-	e.metrics.poolGets[poolGray].Add(1)
-	return e.grayPool.Get().(*paremsp.GrayImage)
-}
-
-// PutGray returns a borrowed gray raster to the gray pool.
-func (e *Engine) PutGray(img *paremsp.GrayImage) {
-	if img != nil {
-		e.grayPool.Put(img)
-	}
-}
-
-// GetVolume borrows a voxel volume from the volume pool; decode into it with
-// pnm.DecodeVolumeInto and hand it to LabelVolume, which consumes it. If it
-// never reaches LabelVolume, return it with PutVolume.
-func (e *Engine) GetVolume() *paremsp.Volume {
-	e.metrics.poolGets[poolVolume].Add(1)
-	return e.volPool.Get().(*paremsp.Volume)
-}
-
-// PutVolume returns a borrowed volume to the volume pool.
-func (e *Engine) PutVolume(vol *paremsp.Volume) {
-	if vol != nil {
-		e.volPool.Put(vol)
-	}
-}
-
-// PutVolumeResult returns a LabelVolume result's label volume to its pool.
-func (e *Engine) PutVolumeResult(res *paremsp.VolumeResult) {
-	if res != nil && res.Labels != nil {
-		e.lvPool.Put(res.Labels)
-		res.Labels = nil
+// release returns every pooled output buffer of r (a raster result's label
+// map, a volume result's label volume) to its pool.
+func (e *Engine) release(r jobResult) {
+	e.PutResult(r.res)
+	if r.vres != nil {
+		e.labelVols.put(r.vres.Labels)
+		r.vres.Labels = nil
 	}
 }
 
@@ -272,33 +236,99 @@ func (e *Engine) PutVolumeResult(res *paremsp.VolumeResult) {
 // facts (dimensions, density) before calling. The returned result's label
 // map is pool-owned; release it with PutResult.
 func (e *Engine) Label(ctx context.Context, img *paremsp.Image, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, img: img, opt: opt, done: make(chan jobResult, 1)})
+	r := e.do(ctx, e.imageTask(img, opt))
 	return r.res, r.err
 }
 
-// LabelBitmap is Label for a bit-packed raster (algorithms AlgBREMSP /
-// AlgPBREMSP, see paremsp.LabelBitmapInto). It consumes bm under the same
-// contract Label applies to img: on every path the engine returns it to the
-// bitmap pool, so read any per-raster facts before calling.
-func (e *Engine) LabelBitmap(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, bm: bm, opt: opt, done: make(chan jobResult, 1)})
-	return r.res, r.err
+// Stats streams src through the out-of-core band labeler on the worker pool
+// and returns its component statistics. Unlike Label there is no raster to
+// pool: src is read incrementally on the worker goroutine, so the caller
+// must keep the underlying reader open until Stats returns — and Stats
+// always waits for the worker even when ctx fires, so an HTTP handler can
+// safely hand it a request body (the body is never touched after the
+// handler returns). A canceled job that is still queued is rejected by the
+// worker without reading src; one already streaming finishes early when
+// cancellation makes the source's reads fail. Backpressure (ErrQueueFull)
+// and Close (ErrClosed) behave as for Label. Note the pool implication:
+// a stream job occupies its worker for as long as the source delivers
+// bands, so slow uploads hold labeling capacity — deployments should bound
+// request read time (server timeouts) alongside MaxImageBytes.
+func (e *Engine) Stats(ctx context.Context, src band.Source, opt band.Options) (*band.Result, error) {
+	r := e.do(ctx, e.streamTask(src, opt))
+	return r.bres, r.err
 }
 
-// LabelBitmapStats is LabelBitmap for a caller that wants no label map: the
+// withThreads fills the engine's default thread count into opt.
+func (e *Engine) withThreads(opt paremsp.Options) paremsp.Options {
+	if opt.Threads == 0 {
+		opt.Threads = e.threads
+	}
+	return opt
+}
+
+// rasterTask is the task that labels src into a pooled label map with
+// label and then returns src to in; npix is src's pixel count.
+func rasterTask[T any](e *Engine, in *pool[T], src *T, npix int, opt paremsp.Options,
+	label func(context.Context, *T, *paremsp.LabelMap, *paremsp.Scratch, paremsp.Options) (*paremsp.Result, error)) task {
+	opt = e.withThreads(opt)
+	return task{
+		put: func() { in.put(src) },
+		run: func(ctx context.Context) jobResult {
+			lm, sc := e.labelMaps.get(), e.scratch.get()
+			res, err := label(ctx, src, lm, sc, opt)
+			e.scratch.put(sc)
+			in.put(src)
+			if err != nil {
+				e.labelMaps.put(lm)
+				return jobResult{err: err}
+			}
+			return jobResult{res: res, pixels: int64(npix), components: res.NumComponents}
+		},
+	}
+}
+
+// imageTask labels a byte raster (paremsp.LabelIntoCtx).
+func (e *Engine) imageTask(img *paremsp.Image, opt paremsp.Options) task {
+	return rasterTask(e, &e.images, img, len(img.Pix), opt, paremsp.LabelIntoCtx)
+}
+
+// bitmapTask labels a bit-packed raster (paremsp.LabelBitmapIntoCtx:
+// algorithms bremsp and pbremsp).
+func (e *Engine) bitmapTask(bm *paremsp.Bitmap, opt paremsp.Options) task {
+	return rasterTask(e, &e.bitmaps, bm, bm.Width*bm.Height, opt, paremsp.LabelBitmapIntoCtx)
+}
+
+// grayTask labels a gray raster (modes gray and gray-delta).
+func (e *Engine) grayTask(img *paremsp.GrayImage, opt paremsp.Options) task {
+	return rasterTask(e, &e.grays, img, len(img.Pix), opt, paremsp.LabelGrayIntoCtx)
+}
+
+// bitmapStatsTask is bitmapTask for a caller that wants no label map: the
 // bit-packed labeler's final pass folds every run into per-component
-// statistics instead of writing a raster, so no label map is taken from
-// the pool and the result's Labels is nil. It returns the component count
-// and phase times in the result and, when comps is set, the per-component
-// statistics — exactly paremsp.ComponentsOf over LabelBitmap's label map.
-// With comps unset the fold is skipped. bm is consumed as by LabelBitmap.
-func (e *Engine) LabelBitmapStats(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error) {
-	r := e.submit(&job{ctx: ctx, bm: bm, opt: opt, noRaster: true, comps: comps, done: make(chan jobResult, 1)})
-	return r.res, r.comps, r.err
+// statistics instead of writing a raster, so no label map is taken from the
+// pool and the result's Labels is nil. With comps set the outcome carries
+// the statistics — exactly paremsp.ComponentsOf over bitmapTask's label
+// map; unset, the fold is skipped.
+func (e *Engine) bitmapStatsTask(bm *paremsp.Bitmap, opt paremsp.Options, comps bool) task {
+	opt = e.withThreads(opt)
+	npix := int64(bm.Width) * int64(bm.Height)
+	return task{
+		put: func() { e.bitmaps.put(bm) },
+		run: func(ctx context.Context) jobResult {
+			sc := e.scratch.get()
+			res, cs, err := labelBitmapStats(ctx, bm, sc, opt, comps)
+			e.scratch.put(sc)
+			e.bitmaps.put(bm)
+			if err != nil {
+				return jobResult{err: err}
+			}
+			return jobResult{res: res, comps: cs, pixels: npix, components: res.NumComponents}
+		},
+	}
 }
 
-// labelBitmapStats is the runStats seam: the label-map-free entry points of
-// the bit-packed labelers, validated like paremsp.LabelBitmapIntoCtx.
+// labelBitmapStats runs the label-map-free entry points of the bit-packed
+// labelers, validated like paremsp.LabelBitmapIntoCtx.
 func labelBitmapStats(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scratch, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error) {
 	if opt.Mode != "" && opt.Mode != paremsp.ModeBinary {
 		return nil, nil, fmt.Errorf("paremsp: LabelBitmapIntoCtx supports mode %q, got %q", paremsp.ModeBinary, opt.Mode)
@@ -330,129 +360,42 @@ func labelBitmapStats(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scrat
 	return &paremsp.Result{NumComponents: n, Phases: phases}, cs, nil
 }
 
-// LabelGray is Label for a gray raster (modes gray and gray-delta, see
-// paremsp.LabelGrayIntoCtx). It consumes img under the same contract Label
-// applies to its raster: on every path the engine returns it to the gray
-// pool, so read any per-image facts before calling.
-func (e *Engine) LabelGray(ctx context.Context, img *paremsp.GrayImage, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, gray: img, opt: opt, done: make(chan jobResult, 1)})
-	return r.res, r.err
-}
-
-// LabelVolume is Label for a binary voxel volume (mode volume, see
-// paremsp.LabelVolumeIntoCtx); it consumes vol under the raster contract.
-// The returned result's label volume is pool-owned; release it with
-// PutVolumeResult.
-func (e *Engine) LabelVolume(ctx context.Context, vol *paremsp.Volume, opt paremsp.Options) (*paremsp.VolumeResult, error) {
-	r := e.submit(&job{ctx: ctx, vol: vol, opt: opt, done: make(chan jobResult, 1)})
-	return r.vres, r.err
-}
-
-// Stats streams src through the out-of-core band labeler on the worker pool
-// and returns its component statistics. Unlike Label there is no raster to
-// pool: src is read incrementally on the worker goroutine, so the caller
-// must keep the underlying reader open until Stats returns — and Stats
-// always waits for the worker even when ctx fires, so an HTTP handler can
-// safely hand it a request body (the body is never touched after the
-// handler returns). A canceled job that is still queued is rejected by the
-// worker without reading src; one already streaming finishes early when
-// cancellation makes the source's reads fail. Backpressure (ErrQueueFull)
-// and Close (ErrClosed) behave as for Label. Note the pool implication:
-// a stream job occupies its worker for as long as the source delivers
-// bands, so slow uploads hold labeling capacity — deployments should bound
-// request read time (server timeouts) alongside MaxImageBytes.
-func (e *Engine) Stats(ctx context.Context, src band.Source, opt band.Options) (*band.Result, error) {
-	j := &job{
-		ctx:    ctx,
-		stream: func() (*band.Result, error) { return band.Stream(src, opt) },
-		done:   make(chan jobResult, 1),
+// volumeTask labels a binary voxel volume (mode volume) into a pooled label
+// volume.
+func (e *Engine) volumeTask(vol *paremsp.Volume, opt paremsp.Options) task {
+	opt = e.withThreads(opt)
+	npix := int64(len(vol.Vox))
+	return task{
+		put: func() { e.volumes.put(vol) },
+		run: func(ctx context.Context) jobResult {
+			lv, sc := e.labelVols.get(), e.scratch.get()
+			vres, err := paremsp.LabelVolumeIntoCtx(ctx, vol, lv, sc, opt)
+			e.scratch.put(sc)
+			e.volumes.put(vol)
+			if err != nil {
+				e.labelVols.put(lv)
+				return jobResult{err: err}
+			}
+			return jobResult{vres: vres, pixels: npix, components: vres.NumComponents}
+		},
 	}
-	r := e.submit(j)
-	return r.bres, r.err
 }
 
-// Submitted is a labeling admitted to the queue by one of the Submit
-// methods: the request sits in the engine queue (or on a worker) and its
-// outcome arrives via Wait. The async job API builds on this path.
-type Submitted struct {
-	pos  int
-	done chan jobResult
-}
-
-// QueuePosition reports approximately how many requests sat in the engine
-// queue — including this one — at the moment the job was admitted. It is a
-// point-in-time observation, not a live position.
-func (s *Submitted) QueuePosition() int { return s.pos }
-
-// Wait blocks until the job finishes. Exactly one of the results is non-nil
-// on success: the raster result for SubmitLabel/SubmitBitmap/SubmitGray,
-// the streaming result for SubmitStats, the volume result for SubmitVolume.
-// Wait must be called exactly once.
-func (s *Submitted) Wait() (*paremsp.Result, *band.Result, *paremsp.VolumeResult, error) {
-	r := <-s.done
-	return r.res, r.bres, r.vres, r.err
-}
-
-// SubmitLabel is the asynchronous form of Label: it admits img to the queue
-// and returns immediately with the job's queue position; the caller
-// collects the outcome with Wait. onStart, when non-nil, runs on the worker
-// just before the labeling starts. The img consumption contract matches
-// Label. Backpressure is unchanged: a full queue rejects with ErrQueueFull
-// at submit time.
-func (e *Engine) SubmitLabel(ctx context.Context, img *paremsp.Image, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, img: img, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
+// streamTask runs the out-of-core band labeler over src under the job's
+// context. It pools nothing.
+func (e *Engine) streamTask(src band.Source, opt band.Options) task {
+	return task{
+		stream: true,
+		put:    func() {},
+		run: func(ctx context.Context) jobResult {
+			opt.Ctx = ctx
+			bres, err := band.Stream(src, opt)
+			if err != nil {
+				return jobResult{err: err}
+			}
+			return jobResult{bres: bres, pixels: int64(bres.Width) * int64(bres.Height), components: bres.NumComponents}
+		},
 	}
-	return &Submitted{pos: pos, done: j.done}, nil
-}
-
-// SubmitBitmap is SubmitLabel for a bit-packed raster (see LabelBitmap).
-func (e *Engine) SubmitBitmap(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, bm: bm, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
-}
-
-// SubmitGray is SubmitLabel for a gray raster (see LabelGray).
-func (e *Engine) SubmitGray(ctx context.Context, img *paremsp.GrayImage, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, gray: img, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
-}
-
-// SubmitVolume is SubmitLabel for a voxel volume (see LabelVolume).
-func (e *Engine) SubmitVolume(ctx context.Context, vol *paremsp.Volume, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, vol: vol, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
-}
-
-// SubmitStats is the asynchronous form of Stats. Unlike Stats, the source
-// must stay readable until Wait returns — async callers hand it an
-// in-memory buffer, not a request body.
-func (e *Engine) SubmitStats(ctx context.Context, src band.Source, opt band.Options, onStart func()) (*Submitted, error) {
-	j := &job{
-		ctx:     ctx,
-		stream:  func() (*band.Result, error) { return band.Stream(src, opt) },
-		onStart: onStart,
-		done:    make(chan jobResult, 1),
-	}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
 }
 
 // RetryAfter estimates how long a client shed with ErrQueueFull should wait
@@ -479,77 +422,52 @@ func (e *Engine) RetryAfter() time.Duration {
 	return est
 }
 
-// reclaimInput returns the job's raster (whichever kind it carries, if any)
-// to its pool.
-func (e *Engine) reclaimInput(j *job) {
-	switch {
-	case j.img != nil:
-		e.imgPool.Put(j.img)
-	case j.bm != nil:
-		e.bmPool.Put(j.bm)
-	case j.gray != nil:
-		e.grayPool.Put(j.gray)
-	case j.vol != nil:
-		e.volPool.Put(j.vol)
-	}
-}
-
-// enqueue admits j to the queue and returns its approximate queue position
-// (the queue length just after insertion, so including the job itself). It
-// is the shared front half of the synchronous and asynchronous submit
-// paths; on rejection the input raster is reclaimed.
-func (e *Engine) enqueue(j *job) (int, error) {
+// submit admits t to the queue under ctx and returns the admitted job,
+// whose outcome wait collects; onStart, when non-nil, runs on the worker
+// just before the task. A full queue rejects with ErrQueueFull and a closed
+// engine with ErrClosed, returning t's input to its pool; once admitted,
+// the worker owns the input.
+func (e *Engine) submit(ctx context.Context, t task, onStart func()) (*job, error) {
 	e.metrics.requests.Add(1)
+	j := &job{ctx: ctx, task: t, onStart: onStart, done: make(chan jobResult, 1)}
 	if faultinject.Fire(faultinject.QueueFull) {
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrQueueFull
-	}
-	if j.opt.Threads == 0 {
-		j.opt.Threads = e.threads
+		return nil, e.reject(j, ErrQueueFull)
 	}
 	j.enqueued = time.Now()
 
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrClosed
+		return nil, e.reject(j, ErrClosed)
 	}
 	select {
 	case e.queue <- j:
-		pos := len(e.queue)
-		e.mu.RUnlock()
-		return pos, nil
+		j.pos = len(e.queue)
+		return j, nil
 	default:
-		e.mu.RUnlock()
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrQueueFull
+		return nil, e.reject(j, ErrQueueFull)
 	}
 }
 
-func (e *Engine) submit(j *job) jobResult {
-	if _, err := e.enqueue(j); err != nil {
-		return jobResult{err: err}
-	}
-	ctx := j.ctx
+// reject counts a refused admission and returns the job's input to its pool.
+func (e *Engine) reject(j *job, err error) error {
+	e.metrics.rejected.Add(1)
+	j.task.put()
+	return err
+}
 
-	// Stream jobs read their source (an HTTP request body) on the worker, so
-	// returning before the worker finishes would let the engine touch the
-	// body after the handler has returned. Wait unconditionally: a queued
-	// job with a dead ctx is rejected by the worker's precheck, and a
-	// running one stops at the first failed read.
-	if j.stream != nil {
-		r := <-j.done
-		if tr := traceFrom(ctx); tr != nil {
-			tr.QueueNs = r.wait.Nanoseconds()
-		}
-		return r
+// wait returns j's outcome. It gives up when ctx is done first, leaving the
+// outcome's buffers to be reclaimed when the worker finishes; the async job
+// API passes a context that never ends. Stream jobs read their source (an
+// HTTP request body) on the worker, so returning before the worker finishes
+// would let the engine touch the body after the handler has returned: they
+// always wait — a queued job with a dead ctx is rejected by the worker's
+// precheck, and a running one stops at the first failed read.
+func (e *Engine) wait(ctx context.Context, j *job) jobResult {
+	giveUp := ctx.Done()
+	if j.task.stream {
+		giveUp = nil
 	}
-
-	// Once enqueued, the worker owns the raster and returns it to its pool.
 	select {
 	case r := <-j.done:
 		// The channel receive orders the worker's writes before this
@@ -560,22 +478,20 @@ func (e *Engine) submit(j *job) jobResult {
 			tr.QueueNs = r.wait.Nanoseconds()
 		}
 		return r
-	case <-ctx.Done():
+	case <-giveUp:
 		e.metrics.canceled.Add(1)
-		// The worker may still pick the job up (and is the one holding the
-		// raster); reclaim the label map when it finishes so the pool stays
-		// warm.
-		go func() {
-			r := <-j.done
-			if r.res != nil {
-				e.PutResult(r.res)
-			}
-			if r.vres != nil {
-				e.PutVolumeResult(r.vres)
-			}
-		}()
+		go func() { e.release(<-j.done) }()
 		return jobResult{err: ctx.Err()}
 	}
+}
+
+// do is submit then wait: the synchronous path.
+func (e *Engine) do(ctx context.Context, t task) jobResult {
+	j, err := e.submit(ctx, t, nil)
+	if err != nil {
+		return jobResult{err: err}
+	}
+	return e.wait(ctx, j)
 }
 
 // Close stops accepting work and waits for in-flight and queued labelings to
@@ -651,8 +567,8 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // injectWorkerFaults runs the worker-stall and worker-panic failpoints. The
-// panic deliberately escapes into the compute helpers' recoverPanic so the
-// chaos suite exercises the same containment path a real panic takes.
+// panic deliberately escapes into compute's recoverPanic so the chaos
+// suite exercises the same containment path a real panic takes.
 func injectWorkerFaults(ctx context.Context) {
 	if !faultinject.Armed() {
 		return
@@ -665,44 +581,20 @@ func injectWorkerFaults(ctx context.Context) {
 	}
 }
 
-// computeRaster runs one raster labeling with panic containment: a panic in
-// the labeling (or an injected one) surfaces as a wrapped ErrWorkerPanic
-// instead of killing the worker goroutine. lm is nil for noRaster jobs,
-// whose statistics come back in comps.
-func (e *Engine) computeRaster(j *job, lm *paremsp.LabelMap, sc *paremsp.Scratch) (res *paremsp.Result, comps []paremsp.Component, npix int, err error) {
-	defer e.recoverPanic(&err)
+// compute runs j's task with panic containment: a panic in the labeling
+// (or an injected one) surfaces as a wrapped ErrWorkerPanic instead of
+// killing the worker goroutine, and skips the task's put-backs, so the
+// buffers it may have left mid-mutation are dropped instead of pooled.
+func (e *Engine) compute(j *job) (r jobResult) {
+	defer e.recoverPanic(&r.err)
 	injectWorkerFaults(j.ctx)
-	switch {
-	case j.noRaster:
-		npix = j.bm.Width * j.bm.Height
-		res, comps, err = e.runStats(j.ctx, j.bm, sc, j.opt, j.comps)
-	case j.img != nil:
-		npix = len(j.img.Pix)
-		res, err = e.run(j.ctx, j.img, lm, sc, j.opt)
-	case j.gray != nil:
-		npix = len(j.gray.Pix)
-		res, err = e.runGray(j.ctx, j.gray, lm, sc, j.opt)
-	default:
-		npix = j.bm.Width * j.bm.Height
-		res, err = e.runBM(j.ctx, j.bm, lm, sc, j.opt)
+	if e.hook != nil {
+		if err := e.hook(j.ctx); err != nil {
+			j.task.put()
+			return jobResult{err: err}
+		}
 	}
-	return res, comps, npix, err
-}
-
-// computeVolume is computeRaster for voxel-volume jobs.
-func (e *Engine) computeVolume(j *job, lv *paremsp.LabelVolumeMap, sc *paremsp.Scratch) (vres *paremsp.VolumeResult, npix int, err error) {
-	defer e.recoverPanic(&err)
-	injectWorkerFaults(j.ctx)
-	npix = len(j.vol.Vox)
-	vres, err = e.runVol(j.ctx, j.vol, lv, sc, j.opt)
-	return vres, npix, err
-}
-
-// computeStream is computeRaster for band-streaming jobs.
-func (e *Engine) computeStream(j *job) (bres *band.Result, err error) {
-	defer e.recoverPanic(&err)
-	injectWorkerFaults(j.ctx)
-	return j.stream()
+	return j.task.run(j.ctx)
 }
 
 func (e *Engine) worker() {
@@ -716,7 +608,7 @@ func (e *Engine) worker() {
 				err = context.Canceled
 			}
 			e.metrics.errors.Add(1)
-			e.reclaimInput(j)
+			j.task.put()
 			j.done <- jobResult{err: err}
 			continue
 		}
@@ -727,104 +619,43 @@ func (e *Engine) worker() {
 		start := time.Now()
 		wait := start.Sub(j.enqueued)
 		e.metrics.queueWaitHist.observe(wait.Nanoseconds())
-		if j.stream != nil {
+		r := e.compute(j)
+		elapsed := time.Since(start).Nanoseconds()
+		e.metrics.busyNs.Add(elapsed)
+		e.metrics.inFlight.Add(-1)
+		if r.err != nil {
+			e.metrics.errors.Add(1)
+			j.done <- jobResult{err: r.err, wait: wait}
+			continue
+		}
+		e.metrics.completed.Add(1)
+		e.metrics.pixels.Add(r.pixels)
+		e.metrics.components.Add(int64(r.components))
+		if !j.task.stream {
 			// Stream durations are dominated by how fast the client's
 			// source delivers bands, not by compute, so they stay out of
 			// the jobNs mean that RetryAfter is derived from (and out of
 			// the service-time histogram, for the same reason). They do
 			// count as busy time: the worker is occupied either way.
-			bres, err := e.computeStream(j)
-			e.metrics.busyNs.Add(time.Since(start).Nanoseconds())
-			e.metrics.inFlight.Add(-1)
-			if err != nil {
-				e.metrics.errors.Add(1)
-				j.done <- jobResult{err: err, wait: wait}
-				continue
-			}
-			e.metrics.completed.Add(1)
-			e.metrics.pixels.Add(int64(bres.Width) * int64(bres.Height))
-			e.metrics.components.Add(int64(bres.NumComponents))
-			j.done <- jobResult{bres: bres, wait: wait}
-			continue
-		}
-		if j.vol != nil {
-			// Volume jobs mirror the raster path with a 3-D label buffer and
-			// no phase breakdown (the slab labeler does not time phases).
-			e.metrics.poolGets[poolLabelVol].Add(1)
-			lv := e.lvPool.Get().(*paremsp.LabelVolumeMap)
-			e.metrics.poolGets[poolScratch].Add(1)
-			sc := e.scPool.Get().(*paremsp.Scratch)
-			vres, npix, err := e.computeVolume(j, lv, sc)
-			panicked := errors.Is(err, ErrWorkerPanic)
-			if !panicked {
-				e.scPool.Put(sc)
-				e.reclaimInput(j)
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			e.metrics.busyNs.Add(elapsed)
-			e.metrics.inFlight.Add(-1)
-			if err != nil {
-				if !panicked {
-					e.lvPool.Put(lv)
-				}
-				e.metrics.errors.Add(1)
-				j.done <- jobResult{err: err, wait: wait}
-				continue
-			}
-			e.metrics.completed.Add(1)
 			e.metrics.jobNs.Add(elapsed)
 			e.metrics.jobsTimed.Add(1)
-			e.metrics.pixels.Add(int64(npix))
-			e.metrics.components.Add(int64(vres.NumComponents))
 			e.metrics.jobHist.observe(elapsed)
-			j.done <- jobResult{vres: vres, wait: wait}
-			continue
 		}
-		var lm *paremsp.LabelMap
-		if !j.noRaster {
-			e.metrics.poolGets[poolLabelMap].Add(1)
-			lm = e.lmPool.Get().(*paremsp.LabelMap)
+		if res := r.res; res != nil {
+			e.metrics.scanNs.Add(res.Phases.Scan.Nanoseconds())
+			e.metrics.mergeNs.Add(res.Phases.Merge.Nanoseconds())
+			e.metrics.flattenNs.Add(res.Phases.Flatten.Nanoseconds())
+			e.metrics.relabelNs.Add(res.Phases.Relabel.Nanoseconds())
+			// Histogram observes are two uncontended atomic adds each; the
+			// handful per job cost tens of nanoseconds against a job measured
+			// in micro- to milliseconds, keeping hot-path overhead under the
+			// 2% budget with nothing allocated.
+			e.metrics.phaseHist[phaseScan].observe(res.Phases.Scan.Nanoseconds())
+			e.metrics.phaseHist[phaseMerge].observe(res.Phases.Merge.Nanoseconds())
+			e.metrics.phaseHist[phaseFlatten].observe(res.Phases.Flatten.Nanoseconds())
+			e.metrics.phaseHist[phaseRelabel].observe(res.Phases.Relabel.Nanoseconds())
 		}
-		e.metrics.poolGets[poolScratch].Add(1)
-		sc := e.scPool.Get().(*paremsp.Scratch)
-		res, comps, npix, err := e.computeRaster(j, lm, sc)
-		panicked := errors.Is(err, ErrWorkerPanic)
-		if !panicked {
-			// A panicking labeling may have left lm, sc and the input raster
-			// mid-mutation; quarantine them (drop instead of pooling) so the
-			// next request never sees a half-written buffer.
-			e.scPool.Put(sc)
-			e.reclaimInput(j)
-		}
-		elapsed := time.Since(start).Nanoseconds()
-		e.metrics.busyNs.Add(elapsed)
-		e.metrics.inFlight.Add(-1)
-		if err != nil {
-			if !panicked && lm != nil {
-				e.lmPool.Put(lm)
-			}
-			e.metrics.errors.Add(1)
-			j.done <- jobResult{err: err, wait: wait}
-			continue
-		}
-		e.metrics.completed.Add(1)
-		e.metrics.jobNs.Add(elapsed)
-		e.metrics.jobsTimed.Add(1)
-		e.metrics.pixels.Add(int64(npix))
-		e.metrics.components.Add(int64(res.NumComponents))
-		e.metrics.scanNs.Add(res.Phases.Scan.Nanoseconds())
-		e.metrics.mergeNs.Add(res.Phases.Merge.Nanoseconds())
-		e.metrics.flattenNs.Add(res.Phases.Flatten.Nanoseconds())
-		e.metrics.relabelNs.Add(res.Phases.Relabel.Nanoseconds())
-		// Histogram observes are two uncontended atomic adds each; the
-		// six of them cost tens of nanoseconds against a job measured in
-		// micro- to milliseconds, keeping hot-path overhead under the 2%
-		// budget with nothing allocated.
-		e.metrics.jobHist.observe(elapsed)
-		e.metrics.phaseHist[phaseScan].observe(res.Phases.Scan.Nanoseconds())
-		e.metrics.phaseHist[phaseMerge].observe(res.Phases.Merge.Nanoseconds())
-		e.metrics.phaseHist[phaseFlatten].observe(res.Phases.Flatten.Nanoseconds())
-		e.metrics.phaseHist[phaseRelabel].observe(res.Phases.Relabel.Nanoseconds())
-		j.done <- jobResult{res: res, comps: comps, wait: wait}
+		r.wait = wait
+		j.done <- r
 	}
 }

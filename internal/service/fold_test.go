@@ -96,7 +96,7 @@ func TestLabelComponentsMatchStats(t *testing.T) {
 	}
 	for i, lc := range label.Components {
 		sc := stats.Components[i]
-		if lc.Label != sc.Label || int64(lc.Area) != sc.Area || lc.BBox != sc.BBox || lc.Centroid != sc.Centroid {
+		if lc.Label != sc.Label || lc.Area != sc.Area || lc.BBox != sc.BBox || lc.Centroid != sc.Centroid {
 			t.Fatalf("component %d: label %+v, stats %+v", i, lc, sc)
 		}
 	}
@@ -131,7 +131,7 @@ func TestLabelBitmapStatsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bm := paremsp.NewBitmap(64, 64)
-	if _, _, err := eng.LabelBitmapStats(ctx, bm, paremsp.Options{}, true); !errors.Is(err, context.Canceled) {
+	if err := eng.do(ctx, eng.bitmapStatsTask(bm, paremsp.Options{}, true)).err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

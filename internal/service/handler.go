@@ -259,11 +259,29 @@ type phasesJSON struct {
 	RelabelNs int64 `json:"relabel_ns"`
 }
 
+// phasesJSONFrom renders a labeling's phase times, or nil (omitted) when
+// none were recorded.
+func phasesJSONFrom(p paremsp.PhaseTimes) *phasesJSON {
+	if p.Total() <= 0 {
+		return nil
+	}
+	return &phasesJSON{
+		ScanNs:    p.Scan.Nanoseconds(),
+		MergeNs:   p.Merge.Nanoseconds(),
+		FlattenNs: p.Flatten.Nanoseconds(),
+		RelabelNs: p.Relabel.Nanoseconds(),
+	}
+}
+
+// componentJSON is one component's statistics, shared by /v1/label,
+// /v1/stats and job results. Runs is known only to the streaming band
+// labeler, so only /v1/stats carries it.
 type componentJSON struct {
 	Label    int32      `json:"label"`
 	Area     int        `json:"area"`
 	BBox     [4]int     `json:"bbox"` // min_x, min_y, max_x, max_y (inclusive)
 	Centroid [2]float64 `json:"centroid"`
+	Runs     int64      `json:"runs,omitempty"`
 }
 
 // contourJSON is one component's outer boundary polyline: clockwise
@@ -326,65 +344,32 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A JSON answer without contours reads no label raster: a bit-packed
+	// labeler folds the statistics from its runs (or only counts) instead.
+	wantLabels := accept != ctJSON || spec.contours
 	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
-	kind, err := bodyKind(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMedia, err.Error())
-		return
-	}
-
-	gray := spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta
 	decodeStart := time.Now()
-	var (
-		d    decoded
-		gimg *paremsp.GrayImage
-	)
-	if gray {
-		gimg, err = h.decodeGray(kind, body, bodyLen(r))
-		if err == nil {
-			// Gray labeling has no background: every pixel belongs to a
-			// component, so the foreground density is definitionally 1.
-			d = decoded{width: gimg.Width, height: gimg.Height, density: 1}
-		}
-	} else {
-		d, err = h.decodeRaster(kind, body, bodyLen(r), spec.opt.Algorithm, spec.level)
-	}
+	t, sh, err := h.decodeTask(jobs.KindLabels, spec, r.Header.Get("Content-Type"), body, bodyLen(r), wantLabels)
 	if err != nil {
 		h.decodeError(w, err)
 		return
 	}
-	width, height, density := d.width, d.height, d.density
 	if tr != nil {
 		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
-		tr.Pixels = int64(width) * int64(height)
+		tr.Pixels = int64(sh.width) * int64(sh.height)
 	}
 	ctx, cancel := h.labelCtx(r)
 	defer cancel()
-	var (
-		res   *paremsp.Result
-		comps []paremsp.Component
-	)
-	wantComps := spec.components && accept == ctJSON
-	switch {
-	case gray:
-		res, err = h.engine.LabelGray(ctx, gimg, spec.opt)
-	case d.bm != nil && accept == ctJSON && !spec.contours:
-		// Nothing downstream reads a label raster: the labeler folds the
-		// statistics from its runs (or only counts) and never writes one.
-		res, comps, err = h.engine.LabelBitmapStats(ctx, d.bm, spec.opt, wantComps)
-		wantComps = false
-	case d.bm != nil:
-		res, err = h.engine.LabelBitmap(ctx, d.bm, spec.opt)
-	default:
-		res, err = h.engine.Label(ctx, d.img, spec.opt)
-	}
-	if err != nil {
-		h.writeEngineError(w, err)
+	out := h.engine.do(ctx, t)
+	if out.err != nil {
+		h.writeEngineError(w, out.err)
 		return
 	}
+	res := out.res
 	defer h.engine.PutResult(res)
 
-	if wantComps {
+	comps := out.comps
+	if spec.components && accept == ctJSON && res.Labels != nil {
 		comps = paremsp.ComponentsOf(res.Labels)
 	}
 	var contours []paremsp.Contour
@@ -404,7 +389,7 @@ func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
 		// only in the /debug/requests trace record.
 		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
 	}
-	writeLabeling(w, accept, width, height, density, res.Labels, res.NumComponents, res.Phases, comps, contours)
+	writeLabeling(w, accept, sh.width, sh.height, sh.density, res.Labels, res.NumComponents, res.Phases, comps, contours)
 	if tr != nil {
 		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
 	}
@@ -428,14 +413,7 @@ func writeLabeling(w http.ResponseWriter, accept string, width, height int, dens
 			Height:        height,
 			NumComponents: numComponents,
 			Density:       density,
-		}
-		if phases.Total() > 0 {
-			resp.Phases = &phasesJSON{
-				ScanNs:    phases.Scan.Nanoseconds(),
-				MergeNs:   phases.Merge.Nanoseconds(),
-				FlattenNs: phases.Flatten.Nanoseconds(),
-				RelabelNs: phases.Relabel.Nanoseconds(),
-			}
+			Phases:        phasesJSONFrom(phases),
 		}
 		if comps != nil {
 			resp.Components = make([]componentJSON, len(comps))
@@ -467,20 +445,12 @@ func writeLabeling(w http.ResponseWriter, accept string, width, height int, dens
 
 // statsResponse is the JSON body of a successful /v1/stats request.
 type statsResponse struct {
-	Width         int                  `json:"width"`
-	Height        int                  `json:"height"`
-	NumComponents int                  `json:"num_components"`
-	Density       float64              `json:"density"`
-	BandRows      int                  `json:"band_rows"`
-	Components    []statsComponentJSON `json:"components"`
-}
-
-type statsComponentJSON struct {
-	Label    int32      `json:"label"`
-	Area     int64      `json:"area"`
-	BBox     [4]int     `json:"bbox"` // min_x, min_y, max_x, max_y (inclusive)
-	Centroid [2]float64 `json:"centroid"`
-	Runs     int64      `json:"runs"`
+	Width         int             `json:"width"`
+	Height        int             `json:"height"`
+	NumComponents int             `json:"num_components"`
+	Density       float64         `json:"density"`
+	BandRows      int             `json:"band_rows"`
+	Components    []componentJSON `json:"components"`
 }
 
 // stats handles POST /v1/stats: the request body (raw PBM P4 or raw PGM P5)
@@ -512,7 +482,8 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	}
 
 	decodeStart := time.Now()
-	src, err := pnm.NewBandReader(http.MaxBytesReader(w, r.Body, h.maxBytes), spec.level)
+	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
+	t, sh, err := h.decodeTask(jobs.KindStats, spec, "", body, bodyLen(r), false)
 	if err != nil {
 		h.decodeError(w, err)
 		return
@@ -524,18 +495,18 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		// the header cost and the streamed pass lands in queue+total.
 		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
 		tr.Alg = "band"
-		tr.Pixels = int64(src.Width()) * int64(src.Height())
+		tr.Pixels = int64(sh.width) * int64(sh.height)
 	}
 	ctx, cancel := h.labelCtx(r)
 	defer cancel()
-	res, err := h.engine.Stats(ctx, src, band.Options{BandRows: spec.bandRows, Ctx: ctx})
-	if err != nil {
-		h.writeEngineError(w, err)
+	out := h.engine.do(ctx, t)
+	if out.err != nil {
+		h.writeEngineError(w, out.err)
 		return
 	}
 
 	w.Header().Set("Content-Type", ctJSON)
-	json.NewEncoder(w).Encode(statsResponseFrom(res, spec.bandRows))
+	json.NewEncoder(w).Encode(statsResponseFrom(out.bres, spec.bandRows))
 }
 
 // volumeResponse is the JSON body of a successful /v1/volume request (and
@@ -578,13 +549,12 @@ func (h *Handler) volume(w http.ResponseWriter, r *http.Request) {
 	}
 
 	decodeStart := time.Now()
-	vol := h.engine.GetVolume()
-	if err := pnm.DecodeVolumeInto(http.MaxBytesReader(w, r.Body, h.maxBytes), spec.level, vol); err != nil {
-		h.engine.PutVolume(vol)
+	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
+	t, sh, err := h.decodeTask(jobs.KindVolume, spec, "", body, bodyLen(r), true)
+	if err != nil {
 		h.decodeError(w, err)
 		return
 	}
-	width, height, depth := vol.W, vol.H, vol.D
 	tr := traceFrom(r.Context())
 	if tr != nil {
 		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
@@ -592,23 +562,23 @@ func (h *Handler) volume(w http.ResponseWriter, r *http.Request) {
 		if tr.Alg == "" {
 			tr.Alg = string(paremsp.AlgPAREMSP)
 		}
-		tr.Pixels = int64(width) * int64(height) * int64(depth)
+		tr.Pixels = int64(sh.width) * int64(sh.height) * int64(sh.depth)
 	}
 	ctx, cancel := h.labelCtx(r)
 	defer cancel()
-	res, err := h.engine.LabelVolume(ctx, vol, spec.opt)
-	if err != nil {
-		h.writeEngineError(w, err)
+	out := h.engine.do(ctx, t)
+	if out.err != nil {
+		h.writeEngineError(w, out.err)
 		return
 	}
-	defer h.engine.PutVolumeResult(res)
+	defer h.engine.release(out)
 
 	resp := volumeResponse{
-		Width: width, Height: height, Depth: depth,
-		NumComponents: res.NumComponents,
+		Width: sh.width, Height: sh.height, Depth: sh.depth,
+		NumComponents: out.vres.NumComponents,
 	}
 	if spec.components {
-		resp.ComponentSizes = paremsp.VolumeComponentSizes(res.Labels, res.NumComponents)
+		resp.ComponentSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
 	}
 	w.Header().Set("Content-Type", ctJSON)
 	json.NewEncoder(w).Encode(resp)
@@ -622,7 +592,7 @@ func statsResponseFrom(res *band.Result, bandRows int) statsResponse {
 		Height:        res.Height,
 		NumComponents: res.NumComponents,
 		BandRows:      bandRows,
-		Components:    make([]statsComponentJSON, len(res.Components)),
+		Components:    make([]componentJSON, len(res.Components)),
 	}
 	if resp.BandRows == 0 {
 		resp.BandRows = band.DefaultBandRows
@@ -631,9 +601,9 @@ func statsResponseFrom(res *band.Result, bandRows int) statsResponse {
 		resp.Density = float64(res.ForegroundPixels) / float64(px)
 	}
 	for i, c := range res.Components {
-		resp.Components[i] = statsComponentJSON{
+		resp.Components[i] = componentJSON{
 			Label:    c.Label,
-			Area:     c.Area,
+			Area:     int(c.Area),
 			BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
 			Centroid: [2]float64{c.CentroidX, c.CentroidY},
 			Runs:     c.Runs,
@@ -642,68 +612,122 @@ func statsResponseFrom(res *band.Result, bandRows int) statsResponse {
 	return resp
 }
 
-// decoded is one request image decoded into a pooled raster: exactly one
-// of img and bm is non-nil. The engine consumes the raster (it may return
-// it to the pool after a cancellation while a worker still reads it), so
-// the dimensions and density are captured here, before any engine call.
-type decoded struct {
-	img           *paremsp.Image
-	bm            *paremsp.Bitmap
-	width, height int
-	density       float64
+// shape is what the handler keeps of a decoded input: the engine consumes
+// the pooled raster (it may return it to the pool after a cancellation
+// while a worker still reads it), so these facts are captured before any
+// engine call.
+type shape struct {
+	width, height, depth int
+	density              float64
 }
 
-// decodeRaster decodes an image body of the given kind ("pnm" or "png")
-// into a pooled raster. A bit-packed algorithm gets a packed bitmap: raw
-// PBM and PGM bodies decode straight into it (P4 rows are already 1 bit
-// per pixel, P5 rows are thresholded into the packed words), so the byte
-// raster is never materialized; other bodies are packed after decoding.
-// Everything else decodes into a byte Image. A PNM header declaring more
-// pixels than the body cap, or a body of known size (>= 0), can carry fails
-// before anything is allocated. On error the borrowed raster is already
-// back in its pool. Shared by the synchronous label path and the async job
-// submit path.
-func (h *Handler) decodeRaster(kind string, body *bufio.Reader, size int64, alg paremsp.Algorithm, level float64) (decoded, error) {
+// unsupportedMedia is a body in a format the service does not speak (415).
+type unsupportedMedia struct{ error }
+
+// decodeTask decodes one request body into a pooled input and returns the
+// engine task that labels it, with the input's shape. It is the one place
+// an input kind is chosen, shared by the synchronous endpoints and the
+// async job path. The workload kind picks the labeler family, spec.mode
+// the raster kind of the 2-D ones:
+//   - stats streams the body through the band reader on the worker (only
+//     the header is read here);
+//   - volume decodes a stack of P5 frames into a voxel volume;
+//   - the gray modes decode PGM or PNG into a gray raster;
+//   - binary mode decodes PBM, PGM or PNG (ct, or sniffed) and binarizes
+//     it at spec.level. A bit-packed algorithm gets a packed bitmap: raw
+//     PBM and PGM bodies decode straight into it (P4 rows are already 1 bit
+//     per pixel, P5 rows are thresholded into the packed words), other
+//     bodies are packed after decoding. With wantLabels unset its task
+//     folds the statistics (spec.components) from the runs and writes no
+//     label map. Every other algorithm decodes into a byte Image.
+//
+// For 2-D images, a PNM header declaring more pixels than the body cap, or
+// a body of known size (>= 0), can carry fails before anything is
+// allocated. On error the borrowed input is already back in its pool.
+func (h *Handler) decodeTask(kind jobs.Kind, spec requestSpec, ct string, body *bufio.Reader, size int64, wantLabels bool) (task, shape, error) {
+	e := h.engine
+	switch {
+	case kind == jobs.KindStats:
+		src, err := pnm.NewBandReader(body, spec.level)
+		if err != nil {
+			return task{}, shape{}, err
+		}
+		return e.streamTask(src, band.Options{BandRows: spec.bandRows}), shape{width: src.Width(), height: src.Height()}, nil
+	case kind == jobs.KindVolume:
+		vol := e.volumes.get()
+		if err := pnm.DecodeVolumeInto(body, spec.level, vol); err != nil {
+			e.volumes.put(vol)
+			return task{}, shape{}, err
+		}
+		sh := shape{width: vol.W, height: vol.H, depth: vol.D}
+		if len(vol.Vox) > 0 {
+			sh.density = float64(vol.ForegroundCount()) / float64(len(vol.Vox))
+		}
+		return e.volumeTask(vol, spec.opt), sh, nil
+	}
+
+	bkind, err := bodyKind(ct, body)
+	if err != nil {
+		return task{}, shape{}, unsupportedMedia{err}
+	}
 	if faultinject.Fire(faultinject.DecodeError) {
-		return decoded{}, errors.New("faultinject: decode-error")
+		return task{}, shape{}, errors.New("faultinject: decode-error")
 	}
 	raw := false
-	if kind == "pnm" {
+	if bkind == "pnm" {
 		hdr, err := h.checkPNMHeader(body, size)
 		if err != nil {
-			return decoded{}, err
+			return task{}, shape{}, err
 		}
 		raw = hdr.Magic == "P4" || hdr.Magic == "P5"
 	}
-	packed := bitPackedAlg(alg)
-	if packed && raw {
-		bm := h.engine.GetBitmap()
-		if err := pnm.DecodeBitmapInto(body, level, bm); err != nil {
-			h.engine.PutBitmap(bm)
-			return decoded{}, err
+	if spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta {
+		g := e.grays.get()
+		if bkind == "pnm" {
+			err = pnm.DecodeGrayInto(body, g)
+		} else {
+			err = pnm.DecodePNGGrayInto(body, g)
 		}
-		return decoded{bm: bm, width: bm.Width, height: bm.Height, density: bm.Density()}, nil
+		if err != nil {
+			e.grays.put(g)
+			return task{}, shape{}, err
+		}
+		// Gray labeling has no background: every pixel belongs to a
+		// component, so the foreground density is definitionally 1.
+		return e.grayTask(g, spec.opt), shape{width: g.Width, height: g.Height, density: 1}, nil
 	}
-	img := h.engine.GetImage()
-	var err error
-	switch kind {
-	case "pnm":
-		err = pnm.DecodeInto(body, level, img)
-	case "png":
-		err = pnm.DecodePNGInto(body, level, img)
+
+	packed := bitPackedAlg(spec.opt.Algorithm)
+	var bm *paremsp.Bitmap
+	if packed && raw {
+		bm = e.bitmaps.get()
+		if err := pnm.DecodeBitmapInto(body, spec.level, bm); err != nil {
+			e.bitmaps.put(bm)
+			return task{}, shape{}, err
+		}
+	} else {
+		img := e.images.get()
+		if bkind == "pnm" {
+			err = pnm.DecodeInto(body, spec.level, img)
+		} else {
+			err = pnm.DecodePNGInto(body, spec.level, img)
+		}
+		if err != nil {
+			e.images.put(img)
+			return task{}, shape{}, err
+		}
+		if !packed {
+			return e.imageTask(img, spec.opt), shape{width: img.Width, height: img.Height, density: img.Density()}, nil
+		}
+		bm = e.bitmaps.get()
+		bm.FromImage(img)
+		e.images.put(img)
 	}
-	if err != nil {
-		h.engine.PutImage(img)
-		return decoded{}, err
+	sh := shape{width: bm.Width, height: bm.Height, density: bm.Density()}
+	if !wantLabels {
+		return e.bitmapStatsTask(bm, spec.opt, spec.components), sh, nil
 	}
-	d := decoded{img: img, width: img.Width, height: img.Height, density: img.Density()}
-	if packed {
-		d.bm = h.engine.GetBitmap()
-		d.bm.FromImage(img)
-		h.engine.PutImage(img)
-		d.img = nil
-	}
-	return d, nil
+	return e.bitmapTask(bm, spec.opt), sh, nil
 }
 
 // payloadTooLarge reports a PNM header whose declared pixels need more body
@@ -746,43 +770,20 @@ func (h *Handler) checkPNMHeader(body *bufio.Reader, size int64) (pnm.Header, er
 	return hdr, nil
 }
 
-// decodeGray decodes a gray-mode body ("pnm" = PGM, or PNG) into a pooled
-// gray raster; maxval scaling maps every input onto the 0..255 intensity
-// domain the gray labelers compare. On error the raster is already back in
-// its pool. Shared by the synchronous label path and the async gray jobs.
-func (h *Handler) decodeGray(kind string, body *bufio.Reader, size int64) (*paremsp.GrayImage, error) {
-	if faultinject.Fire(faultinject.DecodeError) {
-		return nil, errors.New("faultinject: decode-error")
-	}
-	if kind == "pnm" {
-		if _, err := h.checkPNMHeader(body, size); err != nil {
-			return nil, err
-		}
-	}
-	g := h.engine.GetGray()
-	var err error
-	switch kind {
-	case "pnm":
-		err = pnm.DecodeGrayInto(body, g)
-	case "png":
-		err = pnm.DecodePNGGrayInto(body, g)
-	}
-	if err != nil {
-		h.engine.PutGray(g)
-		return nil, err
-	}
-	return g, nil
-}
-
 // decodeError writes the HTTP failure for a request-body decode error:
 // 413 when the body ran over the size cap or its header declared more
-// pixels than the cap can carry, 400 otherwise.
+// pixels than the cap can carry, 415 for a format the service does not
+// speak, 400 otherwise.
 func (h *Handler) decodeError(w http.ResponseWriter, err error) {
 	var (
 		tooBig  *http.MaxBytesError
 		tooMany *payloadTooLarge
+		media   unsupportedMedia
 	)
 	switch {
+	case errors.As(err, &media):
+		writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMedia, err.Error())
+		return
 	case errors.As(err, &tooBig):
 		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
 			fmt.Sprintf("image exceeds %d bytes", tooBig.Limit))

@@ -16,9 +16,7 @@ import (
 	"time"
 
 	paremsp "repro"
-	"repro/internal/band"
 	"repro/internal/jobs"
-	"repro/internal/pnm"
 )
 
 // The asynchronous job API. POST /v1/jobs accepts a single image body (the
@@ -111,14 +109,7 @@ func jobJSONFrom(j jobs.Job, dedup bool) jobJSON {
 		if out.Trace != nil {
 			out.Trace.DecodeNs = info.DecodeNs
 		}
-		if info.Phases.Total() > 0 {
-			out.Phases = &phasesJSON{
-				ScanNs:    info.Phases.Scan.Nanoseconds(),
-				MergeNs:   info.Phases.Merge.Nanoseconds(),
-				FlattenNs: info.Phases.Flatten.Nanoseconds(),
-				RelabelNs: info.Phases.Relabel.Nanoseconds(),
-			}
-		}
+		out.Phases = phasesJSONFrom(info.Phases)
 	}
 	return out
 }
@@ -385,87 +376,32 @@ func (h *Handler) submitJob(body []byte, ct string, kind jobs.Kind, spec request
 // and recreated under the same ID these callbacks cannot touch the
 // replacement.
 func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p jobs.Params) error {
-	opt := paremsp.Options{
-		Algorithm:    paremsp.Algorithm(p.Alg),
-		Connectivity: p.Conn,
-		Threads:      p.Threads,
-		Mode:         paremsp.Mode(p.Mode),
-		Delta:        p.Delta,
+	spec := requestSpec{
+		mode:     paremsp.Mode(p.Mode),
+		level:    p.Level,
+		bandRows: p.BandRows,
+		opt: paremsp.Options{
+			Algorithm:    paremsp.Algorithm(p.Alg),
+			Connectivity: p.Conn,
+			Threads:      p.Threads,
+			Delta:        p.Delta,
+		},
 	}
-	switch kind {
-	case jobs.KindGray:
-		if opt.Mode == "" {
-			opt.Mode = paremsp.ModeGray
-		}
-	case jobs.KindVolume:
-		opt.Mode = paremsp.ModeVolume
+	if spec.mode == "" {
+		spec.mode = kindMode(kind)
 	}
-	onStart := func() { h.jobs.Start(id, gen) }
+	spec.opt.Mode = spec.mode
 	jctx, jcancel := context.WithCancel(h.baseCtx)
 	if h.jobTimeout > 0 {
 		jctx, jcancel = context.WithTimeout(h.baseCtx, h.jobTimeout)
 	}
-	var (
-		sub                  *Submitted
-		err                  error
-		width, height, depth int
-		density              float64
-	)
 	decodeStart := time.Now()
-	switch kind {
-	case jobs.KindStats:
-		src, derr := pnm.NewBandReaderBytes(body, p.Level)
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		width, height = src.Width(), src.Height()
-		sub, err = h.engine.SubmitStats(jctx, src, band.Options{BandRows: p.BandRows, Ctx: jctx}, onStart)
-	case jobs.KindVolume:
-		vol := h.engine.GetVolume()
-		if derr := pnm.DecodeVolumeInto(bytes.NewReader(body), p.Level, vol); derr != nil {
-			h.engine.PutVolume(vol)
-			jcancel()
-			return derr
-		}
-		width, height, depth = vol.W, vol.H, vol.D
-		if len(vol.Vox) > 0 {
-			density = float64(vol.ForegroundCount()) / float64(len(vol.Vox))
-		}
-		sub, err = h.engine.SubmitVolume(jctx, vol, opt, onStart)
-	case jobs.KindGray:
-		br := bufio.NewReader(bytes.NewReader(body))
-		bkind, derr := bodyKind(p.ContentType, br)
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		g, derr := h.decodeGray(bkind, br, int64(len(body)))
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		width, height, density = g.Width, g.Height, 1
-		sub, err = h.engine.SubmitGray(jctx, g, opt, onStart)
-	default: // labels and contours share the binary raster path
-		br := bufio.NewReader(bytes.NewReader(body))
-		bkind, derr := bodyKind(p.ContentType, br)
-		if derr == nil {
-			var d decoded
-			if d, derr = h.decodeRaster(bkind, br, int64(len(body)), opt.Algorithm, p.Level); derr == nil {
-				width, height, density = d.width, d.height, d.density
-				if d.bm != nil {
-					sub, err = h.engine.SubmitBitmap(jctx, d.bm, opt, onStart)
-				} else {
-					sub, err = h.engine.SubmitLabel(jctx, d.img, opt, onStart)
-				}
-			}
-		}
-		if derr != nil {
-			jcancel()
-			return derr
-		}
+	t, sh, err := h.decodeTask(kind, spec, p.ContentType, bufio.NewReader(bytes.NewReader(body)), int64(len(body)), true)
+	if err != nil {
+		jcancel()
+		return err
 	}
+	j, err := h.engine.submit(jctx, t, func() { h.jobs.Start(id, gen) })
 	if err != nil {
 		jcancel()
 		return err
@@ -475,10 +411,13 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 	// jcancel on DELETE, and drops the registration on any terminal
 	// transition.
 	h.jobs.RegisterCancel(id, gen, jcancel)
-	h.jobs.SetQueuePos(id, gen, sub.QueuePosition())
+	h.jobs.SetQueuePos(id, gen, j.pos)
 
 	go func() {
-		res, bres, vres, werr := sub.Wait()
+		// The job outlives the request: wait for the worker's outcome
+		// whatever happens to jctx.
+		out := h.engine.wait(context.Background(), j)
+		res, werr := out.res, out.err
 		var contours []paremsp.Contour
 		if werr == nil && kind == jobs.KindContours {
 			// Trace under jctx — still live here, and fired by DELETE or the
@@ -507,9 +446,9 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 			return
 		}
 		jr := &jobs.Result{ResultInfo: jobs.ResultInfo{
-			Width: width, Height: height, Depth: depth, Density: density, DecodeNs: decodeNs,
+			Width: sh.width, Height: sh.height, Depth: sh.depth, Density: sh.density, DecodeNs: decodeNs,
 		}}
-		switch {
+		switch bres, vres := out.bres, out.vres; {
 		case bres != nil:
 			jr.Stats = bres
 			jr.BandRows = p.BandRows
@@ -523,7 +462,7 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 			// back to its pool.
 			jr.NumComponents = vres.NumComponents
 			jr.VolumeSizes = paremsp.VolumeComponentSizes(vres.Labels, vres.NumComponents)
-			h.engine.PutVolumeResult(vres)
+			h.engine.release(out)
 		default:
 			// The label map is kept out of the engine pool for as long as
 			// the job lives; eviction or deletion releases it to the GC.

@@ -146,11 +146,11 @@ func TestJobLifecycle(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
 		return nil
-	})
+	}
 
 	img := testImage(t)
 	// Job A occupies the single worker; job B (a different image) queues.
@@ -454,11 +454,11 @@ func TestJobResultNotReady(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
 		return nil
-	})
+	}
 	id := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0].ID
 	<-started
 
@@ -486,11 +486,11 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	eng, store, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
 		return nil
-	})
+	}
 
 	imgs := make([][]byte, 3)
 	for i := range imgs {

@@ -15,20 +15,20 @@ import (
 	"repro/internal/jobs"
 )
 
-// blockFirstRun substitutes eng.run so the first call parks on its context
+// blockFirstRun sets eng.hook so the first job parks on its context
 // (simulating a labeling that reached a poll point and saw the cancellation)
-// and every later call delegates to the real labeling. started receives one
+// and every later job runs the real labeling. started receives one
 // value per parked call.
 func blockFirstRun(eng *Engine, started chan<- struct{}) {
 	var calls atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 }
 
 // TestEngineLabelCancelMidRun cancels a labeling that is already on a
@@ -130,13 +130,13 @@ func TestDrainLifecycle(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 	inflight := make(chan *http.Response, 1)
 	go func() {
 		inflight <- post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
@@ -194,21 +194,21 @@ func TestDrainRejectsQueuedJobs(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 
 	// One job on the worker, one parked in the queue.
-	running, err := eng.SubmitLabel(context.Background(), testImage(t), paremsp.Options{}, nil)
+	running, err := eng.submit(context.Background(), eng.imageTask(testImage(t), paremsp.Options{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := eng.SubmitLabel(context.Background(), testImage(t), paremsp.Options{}, nil)
+	queued, err := eng.submit(context.Background(), eng.imageTask(testImage(t), paremsp.Options{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +224,12 @@ func TestDrainRejectsQueuedJobs(t *testing.T) {
 	if ok := <-drained; !ok {
 		t.Fatal("Drain timed out")
 	}
-	if res, _, _, err := running.Wait(); err != nil {
-		t.Fatalf("running job failed during drain: %v", err)
+	if r := eng.wait(context.Background(), running); r.err != nil {
+		t.Fatalf("running job failed during drain: %v", r.err)
 	} else {
-		eng.PutResult(res)
+		eng.PutResult(r.res)
 	}
-	if _, _, _, err := queued.Wait(); !errors.Is(err, context.Canceled) {
+	if err := eng.wait(context.Background(), queued).err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued job err = %v, want context.Canceled", err)
 	}
 	if _, err := eng.Label(context.Background(), testImage(t), paremsp.Options{}); !errors.Is(err, ErrClosed) {
@@ -256,12 +256,12 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		eng.Close()
 	})
 	var calls atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			panic("labeling exploded")
 		}
 		return nil
-	})
+	}
 
 	resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
 	body, _ := io.ReadAll(resp.Body)
@@ -277,7 +277,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		if r.v != "labeling exploded" {
 			t.Fatalf("OnPanic value = %v", r.v)
 		}
-		if !strings.Contains(r.stack, "computeRaster") {
+		if !strings.Contains(r.stack, "service.(*Engine).compute(") {
 			t.Fatalf("OnPanic stack does not show the compute frame:\n%s", r.stack)
 		}
 	case <-time.After(2 * time.Second):
@@ -367,13 +367,13 @@ func TestJobDrainCancelsViaBaseContext(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 
 	// First job occupies the worker; the second sits in the queue with the
 	// base context as its lifetime.
@@ -402,14 +402,14 @@ func TestJobDeleteReleasesWorker(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	started := make(chan struct{}, 1)
 	var runs atomic.Int32
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		if runs.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 
 	a := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0]
 	<-started

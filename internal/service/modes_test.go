@@ -378,17 +378,17 @@ func TestEngineGrayCancel(t *testing.T) {
 	defer eng.Close()
 	var calls atomic.Int32
 	started := make(chan struct{}, 1)
-	eng.runGray = func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return paremsp.LabelGrayIntoCtx(ctx, img, dst, sc, opt)
+		return nil
 	}
 
 	mkGray := func(seed int64) *paremsp.GrayImage {
-		g := eng.GetGray()
+		g := eng.grays.get()
 		_, src := grayBody(t, 31, 17, seed)
 		g.Reset(src.Width, src.Height)
 		copy(g.Pix, src.Pix)
@@ -398,8 +398,7 @@ func TestEngineGrayCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := eng.LabelGray(ctx, mkGray(31), paremsp.Options{Mode: paremsp.ModeGray})
-		errCh <- err
+		errCh <- eng.do(ctx, eng.grayTask(mkGray(31), paremsp.Options{Mode: paremsp.ModeGray})).err
 	}()
 	<-started
 	cancel()
@@ -414,10 +413,11 @@ func TestEngineGrayCancel(t *testing.T) {
 
 	_, src := grayBody(t, 31, 17, 32)
 	wantLm, wantN := paremsp.LabelGray(src)
-	g := eng.GetGray()
+	g := eng.grays.get()
 	g.Reset(src.Width, src.Height)
 	copy(g.Pix, src.Pix)
-	res, err := eng.LabelGray(context.Background(), g, paremsp.Options{Mode: paremsp.ModeGray})
+	out := eng.do(context.Background(), eng.grayTask(g, paremsp.Options{Mode: paremsp.ModeGray}))
+	res, err := out.res, out.err
 	if err != nil {
 		t.Fatalf("follow-up LabelGray: %v", err)
 	}
@@ -433,7 +433,7 @@ func TestEngineGrayCancel(t *testing.T) {
 	// reclaimed, error is the context's.
 	dead, dcancel := context.WithCancel(context.Background())
 	dcancel()
-	if _, err := eng.LabelGray(dead, mkGray(33), paremsp.Options{Mode: paremsp.ModeGray}); !errors.Is(err, context.Canceled) {
+	if err := eng.do(dead, eng.grayTask(mkGray(33), paremsp.Options{Mode: paremsp.ModeGray})).err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled LabelGray: err = %v, want context.Canceled", err)
 	}
 }
@@ -445,17 +445,17 @@ func TestEngineVolumeCancel(t *testing.T) {
 	defer eng.Close()
 	var calls atomic.Int32
 	started := make(chan struct{}, 1)
-	eng.runVol = func(ctx context.Context, vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error) {
+	eng.hook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return paremsp.LabelVolumeIntoCtx(ctx, vol, dst, sc, opt)
+		return nil
 	}
 
 	mkVol := func(seed int64) *paremsp.Volume {
-		v := eng.GetVolume()
+		v := eng.volumes.get()
 		_, src := volumeBody(t, 9, 7, 5, seed)
 		v.Reset(src.W, src.H, src.D)
 		copy(v.Vox, src.Vox)
@@ -465,8 +465,7 @@ func TestEngineVolumeCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := eng.LabelVolume(ctx, mkVol(41), paremsp.Options{Mode: paremsp.ModeVolume})
-		errCh <- err
+		errCh <- eng.do(ctx, eng.volumeTask(mkVol(41), paremsp.Options{Mode: paremsp.ModeVolume})).err
 	}()
 	<-started
 	cancel()
@@ -481,21 +480,22 @@ func TestEngineVolumeCancel(t *testing.T) {
 
 	_, src := volumeBody(t, 9, 7, 5, 42)
 	_, wantN := paremsp.LabelVolume(src)
-	v := eng.GetVolume()
+	v := eng.volumes.get()
 	v.Reset(src.W, src.H, src.D)
 	copy(v.Vox, src.Vox)
-	res, err := eng.LabelVolume(context.Background(), v, paremsp.Options{Mode: paremsp.ModeVolume})
+	out := eng.do(context.Background(), eng.volumeTask(v, paremsp.Options{Mode: paremsp.ModeVolume}))
+	res, err := out.vres, out.err
 	if err != nil {
 		t.Fatalf("follow-up LabelVolume: %v", err)
 	}
 	if res.NumComponents != wantN {
 		t.Fatalf("follow-up NumComponents = %d, want %d", res.NumComponents, wantN)
 	}
-	eng.PutVolumeResult(res)
+	eng.release(out)
 
 	dead, dcancel := context.WithCancel(context.Background())
 	dcancel()
-	if _, err := eng.LabelVolume(dead, mkVol(43), paremsp.Options{Mode: paremsp.ModeVolume}); !errors.Is(err, context.Canceled) {
+	if err := eng.do(dead, eng.volumeTask(mkVol(43), paremsp.Options{Mode: paremsp.ModeVolume})).err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled LabelVolume: err = %v, want context.Canceled", err)
 	}
 }

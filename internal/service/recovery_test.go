@@ -58,14 +58,14 @@ func TestServiceRecoveryAfterReopen(t *testing.T) {
 	// "crash".
 	started := make(chan struct{}, 1)
 	var parked atomic.Int32
-	hookLabelers(eng1, func(ctx context.Context) error {
+	eng1.hook = func(ctx context.Context) error {
 		if parked.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 	other, err := paremsp.ParseImage("#.#\n.#.\n#.#")
 	if err != nil {
 		t.Fatal(err)

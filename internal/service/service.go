@@ -1,16 +1,22 @@
 // Package service is the operational layer around the labeling algorithms: a
-// long-lived Engine that runs paremsp.LabelInto on a bounded worker pool with
-// a request queue, backpressure, and sync.Pool-based reuse of image and
-// label-map rasters, plus an http.Handler exposing it as a labeling service.
+// long-lived Engine that runs labelings on a bounded worker pool with a
+// request queue, backpressure, and sync.Pool-based reuse of input rasters,
+// label maps and scratch, plus an http.Handler exposing it as a labeling
+// service.
 //
-// The engine admits at most Workers in-flight labelings plus QueueDepth
-// queued ones; beyond that, Label fails fast with ErrQueueFull so callers
-// (and the HTTP layer, which maps it to 429) shed load instead of queuing
-// unboundedly. Rasters and union-find scratch flow through pools, so
-// sustained traffic does not re-allocate per request: a request borrows an
-// image from the pool, decodes into it, labels into a pooled LabelMap via
-// the buffer-reusing *Into entry points, and returns both when the response
-// has been written.
+// Every labeling is one task: the handler decodes a request body into a
+// pooled input (byte image, packed bitmap, gray raster, voxel volume, or a
+// band reader over the body) and wraps it in the task that labels it. The
+// synchronous endpoints and the async jobs submit tasks to the same queue
+// and wait on them the same way, and one worker loop runs every task with
+// the same panic containment and the same metrics. The engine admits at
+// most Workers in-flight tasks plus QueueDepth queued ones; beyond that,
+// submission fails fast with ErrQueueFull so callers (and the HTTP layer,
+// which maps it to 429) shed load instead of queuing unboundedly. A task
+// borrows its output buffers from the pools on the worker and returns
+// them with its input, so sustained traffic does not re-allocate per
+// request. Library callers use Label (a pooled image from GetImage, the
+// result released with PutResult) and Stats (a band source).
 //
 // The HTTP surface is:
 //
@@ -26,6 +32,9 @@
 //	                in O(band) memory and only JSON component statistics
 //	                (area, bbox, centroid, run count) come back. Query
 //	                parameters: level, band (band height in rows).
+//	POST /v1/volume body = concatenated raw PGM (P5) frames, labeled as one
+//	                26-connected volume; JSON component summary.
+//	POST /v1/jobs   the async job API over the same engine (see jobs_http.go).
 //	GET  /healthz   liveness probe.
 //	GET  /metrics   Prometheus-style text: requests, completions,
 //	                rejections, queue depth, cumulative per-phase

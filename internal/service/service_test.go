@@ -72,33 +72,6 @@ func newTestServer(t *testing.T, ecfg Config, hcfg HandlerConfig) (*Engine, *htt
 	return eng, srv
 }
 
-// hookLabelers wraps every binary labeling seam of eng — byte image, bitmap
-// raster and label-map-free — so hook runs on the worker before the real
-// labeling: a non-nil error fails the labeling with it, and a hook that
-// blocks holds the worker whichever path the request's algorithm and
-// output format select.
-func hookLabelers(eng *Engine, hook func(ctx context.Context) error) {
-	run, runBM, runStats := eng.run, eng.runBM, eng.runStats
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
-		if err := hook(ctx); err != nil {
-			return nil, err
-		}
-		return run(ctx, img, dst, sc, opt)
-	}
-	eng.runBM = func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
-		if err := hook(ctx); err != nil {
-			return nil, err
-		}
-		return runBM(ctx, bm, dst, sc, opt)
-	}
-	eng.runStats = func(ctx context.Context, bm *paremsp.Bitmap, sc *paremsp.Scratch, opt paremsp.Options, comps bool) (*paremsp.Result, []paremsp.Component, error) {
-		if err := hook(ctx); err != nil {
-			return nil, nil, err
-		}
-		return runStats(ctx, bm, sc, opt, comps)
-	}
-}
-
 func post(t *testing.T, url, contentType, accept string, body []byte) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
@@ -307,11 +280,11 @@ func TestQueueFull429(t *testing.T) {
 	eng, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, HandlerConfig{})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	hookLabelers(eng, func(ctx context.Context) error {
+	eng.hook = func(ctx context.Context) error {
 		started <- struct{}{}
 		<-block
 		return nil
-	})
+	}
 
 	body := pbmBody(t, testImage(t))
 	type outcome struct {
@@ -439,7 +412,7 @@ func TestEngineClosedRejects(t *testing.T) {
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Label after Close: %v, want ErrClosed", err)
 	}
-	if _, err := eng.SubmitLabel(context.Background(), testImage(t), paremsp.Options{}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := eng.submit(context.Background(), eng.imageTask(testImage(t), paremsp.Options{}), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitLabel after Close: %v, want ErrClosed", err)
 	}
 }

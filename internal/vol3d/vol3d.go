@@ -237,17 +237,7 @@ func PLabel(ctx context.Context, vol *Volume, lv *LabelVolume, p []binimg.Label,
 	unionfind.CheckParents(p, int(maxLabel))
 	done := cancel.Done(ctx)
 
-	starts := make([]int, threads+1)
-	base, rem := numPairs/threads, numPairs%threads
-	pair := 0
-	for c := 0; c < threads; c++ {
-		starts[c] = pair * 2
-		pair += base
-		if c < rem {
-			pair++
-		}
-	}
-	starts[threads] = d
+	starts := binimg.SplitEven(d, threads, 2)
 
 	var canceled atomic.Bool
 	var wg sync.WaitGroup
