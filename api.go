@@ -1,6 +1,7 @@
 package paremsp
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -67,8 +68,14 @@ func DecodePNG(r io.Reader, level float64) (*Image, error) { return pnm.DecodePN
 // bitmap — P4 rows are already packed, so no byte raster is materialized.
 // Pair it with LabelBitmap for the all-packed ingest path.
 func DecodePBMBitmap(r io.Reader) (*Bitmap, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	if hdr, err := pnm.PeekHeader(br); err != nil {
+		return nil, err
+	} else if hdr.Magic != "P4" {
+		return nil, fmt.Errorf("paremsp: DecodePBMBitmap wants raw PBM magic P4, got %q", hdr.Magic)
+	}
 	bm := &Bitmap{}
-	if err := pnm.DecodePBMBitmapInto(r, bm); err != nil {
+	if err := pnm.DecodeBitmapInto(br, 0, bm); err != nil {
 		return nil, err
 	}
 	return bm, nil
@@ -413,9 +420,9 @@ type StreamOptions struct {
 	// band.DefaultBandRows. Peak memory scales with BandRows (bitmap, run
 	// set and equivalence table for one band), never with the image height.
 	BandRows int
-	// Level is the binarization threshold for raw PGM (P5) input (im2bw
+	// Level is the binarization threshold for PGM (P2/P5) input (im2bw
 	// semantics, like DecodePNM); 0 selects the paper's 0.5. Ignored for
-	// raw PBM (P4) input.
+	// PBM (P1/P4) input.
 	Level float64
 }
 
@@ -428,7 +435,7 @@ type StreamResult = band.Result
 // produces: area, bounding box, centroid, and foreground run count.
 type ComponentStats = band.ComponentStats
 
-// LabelStream labels a raw PBM (P4) or raw PGM (P5) stream out-of-core:
+// LabelStream labels a PBM or PGM stream, raw or plain, out-of-core:
 // the image is consumed as fixed-height row bands, each labeled with the
 // bit-packed run scan and stitched to its predecessor by unioning the runs
 // of the seam rows, while per-component statistics accumulate run-by-run.

@@ -300,6 +300,16 @@ func TestLabelBitmap(t *testing.T) {
 	}
 }
 
+// TestDecodePBMBitmapRejectsNonP4: DecodePBMBitmap keeps its raw-PBM-only
+// contract although the decoder under it reads every PNM format.
+func TestDecodePBMBitmapRejectsNonP4(t *testing.T) {
+	for _, src := range []string{"P1\n2 2\n1 0\n0 1\n", "P5\n2 2\n255\nabcd", "Px\n", "P4\n16 4\n\x01\x02"} {
+		if _, err := paremsp.DecodePBMBitmap(strings.NewReader(src)); err == nil {
+			t.Fatalf("accepted %q", src)
+		}
+	}
+}
+
 func TestLabelBitmapErrors(t *testing.T) {
 	bm := paremsp.NewBitmap(4, 4)
 	if _, err := paremsp.LabelBitmap(nil, paremsp.Options{}); err == nil {
@@ -342,7 +352,15 @@ func TestLabelStream(t *testing.T) {
 			t.Fatalf("band %d: area sum %d / foreground %d, want %d", bandRows, area, res.ForegroundPixels, got)
 		}
 	}
-	if _, err := paremsp.LabelStream(strings.NewReader("P1\n1 1\n1\n"), paremsp.StreamOptions{}); err == nil {
-		t.Error("plain PBM accepted by the band streamer")
+	var plain bytes.Buffer
+	if err := paremsp.EncodePBM(&plain, img, false); err != nil {
+		t.Fatal(err)
+	}
+	res, err := paremsp.LabelStream(&plain, paremsp.StreamOptions{})
+	if err != nil || res.NumComponents != 5 || res.ForegroundPixels != int64(img.ForegroundCount()) {
+		t.Fatalf("plain PBM: %+v, %v", res, err)
+	}
+	if _, err := paremsp.LabelStream(strings.NewReader("P6\n1 1\n255\n\x00"), paremsp.StreamOptions{}); err == nil {
+		t.Error("PPM accepted by the band streamer")
 	}
 }

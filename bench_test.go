@@ -518,9 +518,9 @@ func BenchmarkBitScanPhases(b *testing.B) {
 	}
 }
 
-// BenchmarkP4Ingest compares the two raw-PBM decode paths feeding the
-// service: unpack-to-bytes (pnm.DecodeInto) vs packed-to-packed
-// (pnm.DecodePBMBitmapInto).
+// BenchmarkP4Ingest compares the two raw-PBM decodes feeding the service:
+// to a byte raster (pnm.DecodeInto, the packed decode then an unpack) vs
+// packed-to-packed (pnm.DecodeBitmapInto).
 func BenchmarkP4Ingest(b *testing.B) {
 	img := dataset.LandCover(1024, 1024, 32, 0.5, 1)
 	var buf bytes.Buffer
@@ -541,7 +541,7 @@ func BenchmarkP4Ingest(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		dst := &binimg.Bitmap{}
 		for i := 0; i < b.N; i++ {
-			if err := pnm.DecodePBMBitmapInto(bytes.NewReader(raw), dst); err != nil {
+			if err := pnm.DecodeBitmapInto(bytes.NewReader(raw), 0.5, dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,9 +14,10 @@
 // is full. ?mode=gray labels gray levels directly (exact-value
 // components; ?mode=gray-delta&delta=N for tolerance-N components) and
 // ?contours=true adds each component's boundary polyline to the JSON
-// response. POST /v1/stats streams raw PBM/PGM through the out-of-core
-// band labeler and returns component statistics. POST /v1/volume labels a
-// stack of concatenated raw-PGM frames as one 26-connected 3-D volume.
+// response. POST /v1/stats streams PBM/PGM (raw or plain) through the
+// out-of-core band labeler and returns component statistics. POST
+// /v1/volume labels a stack of concatenated raw-PGM frames as one
+// 26-connected 3-D volume.
 // Every /v1/* error is a JSON envelope {"error":{"code","message"}}.
 //
 // POST /v1/jobs is the asynchronous job API (disable with -jobs=false):

@@ -1,5 +1,5 @@
-// Command ccstream labels a raw PBM (P4) or raw PGM (P5) image with the
-// out-of-core band labeler: only one fixed-height band of pixels stays
+// Command ccstream labels a PBM or PGM image (raw P4/P5 or plain P1/P2)
+// with the out-of-core band labeler: only one fixed-height band of pixels stays
 // resident (independent of image height), per-component statistics
 // accumulate during the pass, provisional labels spill to a scratch file,
 // and the result is written as a CCL1 label stream (see internal/stream for

@@ -55,15 +55,18 @@
 // raster order of each component's first pixel (chunk-major for PBREMSP on
 // several threads). LabelBitmap / LabelBitmapInto accept the packed raster
 // directly, and DecodePBMBitmap fills one from raw PBM (P4) without
-// materializing a byte raster, since P4 rows are already bit-packed.
+// materializing a byte raster, since P4 rows are already bit-packed; it
+// rejects every other format, although the decoder under it (the one that
+// feeds the service) also thresholds PGM, plain PBM and PNG rows straight
+// into the packed words.
 //
 // # Streaming and out-of-core statistics
 //
-// LabelStream labels rasters far larger than memory. The input — a raw PBM
-// (P4) or raw PGM (P5) stream — is consumed as fixed-height row bands
-// (StreamOptions.BandRows; default 256): each band is labeled with BREMSP's
-// run scan in its own label space, consecutive bands are stitched by
-// unioning the foreground runs of the two seam rows, and per-component
+// LabelStream labels rasters far larger than memory. The input — a PBM or
+// PGM stream, raw (P4/P5) or plain (P1/P2) — is consumed as fixed-height
+// row bands (StreamOptions.BandRows; default 256): each band is labeled with
+// BREMSP's run scan in its own label space, consecutive bands are stitched
+// by unioning the foreground runs of the two seam rows, and per-component
 // statistics (area, bounding box, centroid, run count — see ComponentStats)
 // accumulate run-by-run. No label raster is ever materialized, so peak
 // memory is O(one band + its equivalence table + the component table),
@@ -101,8 +104,9 @@
 // streams, plus /healthz and /metrics with the
 // per-phase timings above as live counters. Binary requests without ?alg=
 // run PBREMSP (gray and volume requests keep PAREMSP, which also stays the
-// library default): raw PBM and PGM bodies decode straight into a Bitmap,
-// and a JSON answer without contours builds no label map — the final pass
+// library default): PBM, PGM and PNG bodies, raw or plain, decode straight
+// into a Bitmap (a byte algorithm pinned with ?alg= unpacks it), and a
+// JSON answer without contours builds no label map — the final pass
 // folds each run, under its final label, into the component statistics,
 // and is reported as relabel_ns. Because PBREMSP numbers components in
 // (chunk-major) raster order of their first pixel, the service's label
@@ -229,7 +233,7 @@
 // mode=gray|gray-delta (P5/PNG in, same outputs), plus ?contours=true to
 // attach boundary polylines to JSON responses; POST /v1/volume takes
 // concatenated raw-PGM z-slices and returns JSON only; POST /v1/stats is
-// binary-only. Async jobs mirror the matrix via ?kind=
+// binary-only and takes PBM or PGM, raw or plain (P1, P2, P4, P5). Async jobs mirror the matrix via ?kind=
 // (labels|stats|contours|gray|volume), keyed by JobKeyMode so the same
 // bytes under different modes are distinct jobs while binary labels/stats
 // IDs stay identical to earlier releases.

@@ -219,8 +219,8 @@ func GenImg(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// CCStream implements the ccstream command: label a raw PBM (P4) or raw PGM
-// (P5) file with the out-of-core band labeler. The image streams through
+// CCStream implements the ccstream command: label a PBM or PGM file (raw or
+// plain) with the out-of-core band labeler. The image streams through
 // fixed-height row bands (O(band) resident memory, independent of image
 // height); per-component statistics accumulate during the pass, and the
 // label raster — whose final numbering is only known once the stream
@@ -231,7 +231,7 @@ func CCStream(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "labels.ccl", "output CCL1 label-stream path")
 	bandRows := fs.Int("band", 0, "band height in rows (0 = default)")
-	level := fs.Float64("level", 0.5, "binarization threshold for raw PGM input")
+	level := fs.Float64("level", 0.5, "binarization threshold for PGM input")
 	showStats := fs.Bool("stats", false, "print per-component statistics")
 	if err := fs.Parse(args); err != nil {
 		return 2

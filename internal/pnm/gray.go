@@ -8,10 +8,8 @@ package pnm
 import (
 	"bufio"
 	"fmt"
-	"image/color"
-	"image/png"
 	"io"
-	"strconv"
+	"math"
 
 	"repro/internal/grayccl"
 	"repro/internal/vol3d"
@@ -22,71 +20,37 @@ import (
 // of binarizing. Samples are scaled to the full 8-bit range: v*255/maxval,
 // so 16-bit graymaps lose precision but keep their relative ordering.
 func DecodeGrayInto(r io.Reader, dst *grayccl.Image) error {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	if magic != "P2" && magic != "P5" {
-		return fmt.Errorf("pnm: gray decode wants PGM magic P2 or P5, got %q", magic)
-	}
-	w, h, err := readDims(br)
+	rows, err := newRowReader(bufio.NewReader(r))
 	if err != nil {
 		return err
 	}
-	maxVal, err := readMaxVal(br)
-	if err != nil {
-		return err
+	if rows.bytesPer == 0 {
+		return fmt.Errorf("pnm: gray decode wants PGM magic P2 or P5, got %q", rows.hdr.Magic)
 	}
-	dst.Reset(w, h)
-	if magic == "P5" {
-		bytesPer := sampleBytes(maxVal)
-		buf := make([]byte, w*bytesPer)
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("pnm: P5 row %d: %w", y, err)
-			}
-			for x := 0; x < w; x++ {
-				var v int
-				if bytesPer == 2 {
-					v = int(buf[2*x])<<8 | int(buf[2*x+1])
-				} else {
-					v = int(buf[x])
-				}
-				dst.Pix[y*w+x] = uint8(v * 255 / maxVal)
-			}
-		}
-		return nil
-	}
-	for i := 0; i < w*h; i++ {
-		tok, err := readToken(br)
-		if err != nil {
-			return fmt.Errorf("pnm: P2 pixel %d: %w", i, err)
-		}
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 || v > maxVal {
-			return fmt.Errorf("pnm: P2 pixel %d: invalid value %q", i, tok)
-		}
-		dst.Pix[i] = uint8(v * 255 / maxVal)
-	}
-	return nil
+	return decodeGray(rows, dst, func(v int) uint8 { return uint8(v * 255 / rows.hdr.MaxVal) })
 }
 
 // DecodePNGGrayInto reads a PNG stream into a caller-provided gray image
 // (reshaped with Reset), taking each pixel's Rec. 601 luminance scaled to
 // 8 bits — the gray analogue of DecodePNGInto.
 func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
-	src, err := png.Decode(r)
+	rows, err := newPNGRows(r)
 	if err != nil {
-		return fmt.Errorf("pnm: decoding png: %w", err)
+		return err
 	}
-	b := src.Bounds()
-	dst.Reset(b.Dx(), b.Dy())
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			g := color.Gray16Model.Convert(src.At(x, y)).(color.Gray16)
-			dst.Pix[(y-b.Min.Y)*dst.Width+(x-b.Min.X)] = uint8(g.Y >> 8)
+	return decodeGray(rows, dst, func(v int) uint8 { return uint8(v >> 8) })
+}
+
+// decodeGray reads every row of rows into dst, each sample mapped by scale.
+func decodeGray(rows *rowReader, dst *grayccl.Image, scale func(int) uint8) error {
+	w, h := rows.hdr.Width, rows.hdr.Height
+	dst.Reset(w, h)
+	lut := byteLUT(scale)
+	for y := 0; y < h; y++ {
+		if err := rows.next(); err != nil {
+			return err
 		}
+		mapRow(dst.Pix[y*w:(y+1)*w], rows.row, rows.bytesPer, scale, lut)
 	}
 	return nil
 }
@@ -96,80 +60,59 @@ func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
 // provided volume (buffer reused when large enough). Each frame is binarized
 // with the same im2bw semantics as DecodeInto: luminance fraction strictly
 // greater than level becomes an object voxel. The frame count becomes the
-// volume's depth; at least one frame is required.
+// volume's depth; at least one frame is required. The voxel buffer grows
+// row by row as frames arrive, so a header alone allocates one row.
 func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
 	br := bufio.NewReader(r)
 	w, h, d := 0, 0, 0
 	vox := dst.Vox[:0]
-	var buf []byte
-	for {
-		magic, err := readToken(br)
-		if err == io.EOF {
+	for ; ; d++ {
+		rows, err := newRowReader(br)
+		if err == errNoImage && d > 0 {
 			break
 		}
-		if err != nil {
-			return fmt.Errorf("pnm: frame %d: reading magic: %w", d, err)
+		if err == errNoImage {
+			return fmt.Errorf("pnm: volume stream holds no P5 frames")
 		}
-		if magic != "P5" {
-			return fmt.Errorf("pnm: volume frames must be raw PGM (P5), frame %d has magic %q", d, magic)
-		}
-		fw, fh, err := readDims(br)
 		if err != nil {
-			return fmt.Errorf("pnm: frame %d: %w", d, err)
+			return fmt.Errorf("%w (frame %d)", err, d)
 		}
-		maxVal, err := readMaxVal(br)
-		if err != nil {
-			return fmt.Errorf("pnm: frame %d: %w", d, err)
+		hdr := rows.hdr
+		if hdr.Magic != "P5" {
+			return fmt.Errorf("pnm: volume frames must be raw PGM (P5), frame %d has magic %q", d, hdr.Magic)
 		}
 		if d == 0 {
-			w, h = fw, fh
-		} else if fw != w || fh != h {
-			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fw, fh, w, h)
+			w, h = hdr.Width, hdr.Height
+		} else if hdr.Width != w || hdr.Height != h {
+			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, hdr.Width, hdr.Height, w, h)
 		}
-		bytesPer := sampleBytes(maxVal)
-		if cap(buf) < w*bytesPer {
-			buf = make([]byte, w*bytesPer)
+		thresh := int(math.Floor(level * float64(hdr.MaxVal)))
+		bit := func(v int) uint8 {
+			if v > thresh {
+				return 1
+			}
+			return 0
 		}
-		buf = buf[:w*bytesPer]
-		thresh := level * float64(maxVal)
+		lut := byteLUT(bit)
 		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("pnm: frame %d row %d: %w", d, y, err)
+			if err := rows.next(); err != nil {
+				return fmt.Errorf("%w (frame %d)", err, d)
 			}
-			for x := 0; x < w; x++ {
-				var v int
-				if bytesPer == 2 {
-					v = int(buf[2*x])<<8 | int(buf[2*x+1])
-				} else {
-					v = int(buf[x])
-				}
-				if float64(v) > thresh {
-					vox = append(vox, 1)
-				} else {
-					vox = append(vox, 0)
-				}
-			}
+			vox = append(vox, make([]uint8, w)...)
+			mapRow(vox[len(vox)-w:], rows.row, rows.bytesPer, bit, lut)
 		}
-		d++
-	}
-	if d == 0 {
-		return fmt.Errorf("pnm: volume stream holds no P5 frames")
 	}
 	dst.W, dst.H, dst.D, dst.Vox = w, h, d, vox
 	return nil
 }
 
-// readMaxVal reads and validates the PGM maxval token.
-func readMaxVal(br *bufio.Reader) (int, error) {
-	maxTok, err := readToken(br)
-	if err != nil {
-		return 0, fmt.Errorf("pnm: reading maxval: %w", err)
+// byteLUT tabulates f over the 256 values of a 1-byte sample for mapRow.
+func byteLUT(f func(int) uint8) *[256]uint8 {
+	var lut [256]uint8
+	for v := range lut {
+		lut[v] = f(v)
 	}
-	maxVal, err := strconv.Atoi(maxTok)
-	if err != nil || maxVal < 1 || maxVal > 65535 {
-		return 0, fmt.Errorf("pnm: invalid maxval %q", maxTok)
-	}
-	return maxVal, nil
+	return &lut
 }
 
 // sampleBytes is the raw-PGM sample width for maxVal: 2 bytes (big-endian)

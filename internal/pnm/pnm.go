@@ -4,6 +4,11 @@
 // im2bw(0.5) threshold the paper applies to its datasets. PNG import (via
 // the standard library) covers the common interchange case.
 //
+// Every decoder reads through one header parser (readHeader, behind
+// PeekHeader too) and one row reader that serves raw, plain and PNG rows in
+// the raw Netpbm layout. Binary decodes land in a packed bitmap; the byte
+// decoders unpack it.
+//
 // Convention note: in PBM, 1 is black. Following the paper's convention that
 // object pixels are 1 and the binarized examples show dark objects on light
 // background, PBM bit 1 decodes to foreground 1.
@@ -12,12 +17,13 @@ package pnm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
+	"math"
 	"math/bits"
 	"strconv"
 
@@ -39,88 +45,31 @@ func Decode(r io.Reader, level float64) (*binimg.Image, error) {
 }
 
 // DecodeInto is Decode into a caller-provided image, reshaped with Reset so
-// its pixel buffer is reused when large enough. Long-lived servers decode
-// request bodies into pooled images this way.
+// its pixel buffer is reused when large enough: DecodeBitmapInto followed by
+// Bitmap.ToImageInto, so the byte raster is unpacked from the one decode.
+// Each call allocates one packed scratch bitmap (h·⌈w/64⌉ words) for that
+// decode; callers that decode many images and can label bitmaps should use
+// DecodeBitmapInto with a reused Bitmap instead.
 func DecodeInto(r io.Reader, level float64, dst *binimg.Image) error {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	switch magic {
-	case "P1", "P4":
-		return decodePBM(br, magic == "P4", dst)
-	case "P2", "P5":
-		return decodePGM(br, magic == "P5", level, dst)
-	default:
-		return fmt.Errorf("pnm: unsupported magic %q (want P1, P2, P4 or P5)", magic)
-	}
-}
-
-func decodePBM(br *bufio.Reader, raw bool, im *binimg.Image) error {
-	w, h, err := readDims(br)
-	if err != nil {
+	var bm binimg.Bitmap
+	if err := DecodeBitmapInto(r, level, &bm); err != nil {
 		return err
 	}
-	im.Reset(w, h)
-	if raw {
-		// readToken consumed the single post-header whitespace byte, so the
-		// packed rows start immediately: each row padded to a whole number
-		// of bytes, MSB first.
-		stride := (w + 7) / 8
-		rowBuf := make([]byte, stride)
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
-				return fmt.Errorf("pnm: P4 row %d: %w", y, err)
-			}
-			for x := 0; x < w; x++ {
-				if rowBuf[x/8]&(0x80>>(x%8)) != 0 {
-					im.Pix[y*w+x] = 1
-				}
-			}
-		}
-		return nil
-	}
-	for i := 0; i < w*h; i++ {
-		tok, err := readToken(br)
-		if err != nil {
-			return fmt.Errorf("pnm: P1 pixel %d: %w", i, err)
-		}
-		switch tok {
-		case "0":
-			// background
-		case "1":
-			im.Pix[i] = 1
-		default:
-			return fmt.Errorf("pnm: P1 pixel %d: invalid token %q", i, tok)
-		}
-	}
+	bm.ToImageInto(dst)
 	return nil
 }
 
-// DecodeBitmapInto decodes a raw PBM (P4) or raw PGM (P5) stream directly
+// DecodeBitmapInto decodes a PBM (P1/P4) or PGM (P2/P5) stream directly
 // into a packed 1-bit-per-pixel bitmap, reshaped with Reset: BandReader's
 // row loop reading the whole image as one band. P4 rows are already
-// bit-packed and are reordered packed-to-packed; P5 rows are binarized at
-// level (im2bw semantics, as DecodeInto) straight into the packed words.
+// bit-packed and are reordered packed-to-packed; graymap rows are binarized
+// at level (im2bw semantics, as DecodeInto) straight into the packed words.
 // This is the ingest path of the bit-packed labelers (BREMSP/PBREMSP): the
 // byte raster is never materialized.
 func DecodeBitmapInto(r io.Reader, level float64, dst *binimg.Bitmap) error {
 	b, err := NewBandReader(r, level)
 	if err != nil {
 		return err
-	}
-	return b.readAll(dst)
-}
-
-// DecodePBMBitmapInto is DecodeBitmapInto restricted to raw PBM (P4).
-func DecodePBMBitmapInto(r io.Reader, dst *binimg.Bitmap) error {
-	b, err := NewBandReader(r, 0)
-	if err != nil {
-		return err
-	}
-	if !b.raw4 {
-		return fmt.Errorf("pnm: bitmap decode wants raw PBM magic P4, got %q", b.format())
 	}
 	return b.readAll(dst)
 }
@@ -140,56 +89,8 @@ func packP4Row(words []uint64, rowBuf []byte, tail uint64) {
 	}
 }
 
-func decodePGM(br *bufio.Reader, raw bool, level float64, im *binimg.Image) error {
-	w, h, err := readDims(br)
-	if err != nil {
-		return err
-	}
-	maxVal, err := readMaxVal(br)
-	if err != nil {
-		return err
-	}
-	im.Reset(w, h)
-	thresh := level * float64(maxVal)
-	if raw {
-		bytesPer := sampleBytes(maxVal)
-		buf := make([]byte, w*bytesPer)
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("pnm: P5 row %d: %w", y, err)
-			}
-			for x := 0; x < w; x++ {
-				var v int
-				if bytesPer == 2 {
-					v = int(buf[2*x])<<8 | int(buf[2*x+1])
-				} else {
-					v = int(buf[x])
-				}
-				if float64(v) > thresh {
-					im.Pix[y*w+x] = 1
-				}
-			}
-		}
-		return nil
-	}
-	for i := 0; i < w*h; i++ {
-		tok, err := readToken(br)
-		if err != nil {
-			return fmt.Errorf("pnm: P2 pixel %d: %w", i, err)
-		}
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 || v > maxVal {
-			return fmt.Errorf("pnm: P2 pixel %d: invalid value %q", i, tok)
-		}
-		if float64(v) > thresh {
-			im.Pix[i] = 1
-		}
-	}
-	return nil
-}
-
-// Header is a PNM header: the magic ("P1".."P5"), the dimensions and, for
-// graymaps, the maxval (0 for bitmaps).
+// Header is an image header: the magic ("P1".."P5", or "PNG"), the
+// dimensions and, for graymaps, the maxval (0 for bitmaps).
 type Header struct {
 	Magic         string
 	Width, Height int
@@ -200,11 +101,12 @@ type Header struct {
 // header declares: h*ceil(w/8) for raw PBM, h*w*bytes-per-sample for raw
 // PGM, and w*h (one character per pixel) for the plain formats. A body cap
 // compared against it bounds every allocation a decoder sizes from the
-// header.
+// header. A PNG is compressed, so its payload is that of a raw PBM with the
+// same pixels: the most a body at the cap could carry.
 func (h Header) PayloadBytes() int64 {
 	w, ht := int64(h.Width), int64(h.Height)
 	switch h.Magic {
-	case "P4":
+	case "P4", "PNG":
 		return ht * ((w + 7) / 8)
 	case "P5":
 		return ht * w * int64(sampleBytes(h.MaxVal))
@@ -213,11 +115,16 @@ func (h Header) PayloadBytes() int64 {
 	}
 }
 
-// PeekHeader parses the PNM header at the front of br without consuming
-// it, so a caller can check the declared dimensions against a budget
-// before a decoder allocates for them. Malformed headers fail with the
-// decoders' own errors; a header that does not fit in br's buffer fails
-// too, so padding a header with comments cannot slip past the check.
+// pngMagic is the PNG file signature.
+const pngMagic = "\x89PNG\r\n\x1a\n"
+
+// PeekHeader parses the header at the front of br without consuming it, so
+// a caller can check the declared dimensions against a budget before a
+// decoder allocates for them. A PNM header goes through the decoders' own
+// parser; a PNG's dimensions come from its IHDR chunk (pngHeader).
+// Malformed headers fail with the decoders' own errors; a PNM header that
+// does not fit in br's buffer fails too, so padding it with comments cannot
+// slip past the check.
 func PeekHeader(br *bufio.Reader) (Header, error) {
 	buf, peekErr := br.Peek(br.Size())
 	rest := bytes.NewReader(buf)
@@ -226,17 +133,10 @@ func PeekHeader(br *bufio.Reader) (Header, error) {
 		h   Header
 		err error
 	)
-	h.Magic, err = readToken(hr)
-	switch {
-	case err != nil:
-		err = fmt.Errorf("pnm: reading magic: %w", err)
-	case h.Magic != "P1" && h.Magic != "P2" && h.Magic != "P4" && h.Magic != "P5":
-		err = fmt.Errorf("pnm: unsupported magic %q (want P1, P2, P4 or P5)", h.Magic)
-	default:
-		h.Width, h.Height, err = readDims(hr)
-		if err == nil && (h.Magic == "P2" || h.Magic == "P5") {
-			h.MaxVal, err = readMaxVal(hr)
-		}
+	if bytes.HasPrefix(buf, []byte(pngMagic)) {
+		h, err = pngHeader(buf)
+	} else {
+		h, err = readHeader(hr)
 	}
 	if err != nil && peekErr != nil && peekErr != io.EOF {
 		// The body failed before the header ended (a read error, or the
@@ -247,33 +147,83 @@ func PeekHeader(br *bufio.Reader) (Header, error) {
 		// The window is full, so running out of it is not the end of the
 		// body: a header cut short — or a last token the window may have
 		// cut — is a header longer than the window.
-		cut := err == nil && hr.Buffered()+rest.Len() == 0 && !isSpace(buf[len(buf)-1])
-		if cut || errors.Is(err, io.EOF) {
+		cut := err == nil && h.Magic != "PNG" && hr.Buffered()+rest.Len() == 0 && !isSpace(buf[len(buf)-1])
+		if cut || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return h, fmt.Errorf("pnm: header longer than %d bytes", len(buf))
 		}
 	}
 	return h, err
 }
 
-// readDims reads and validates the width and height tokens.
-func readDims(br *bufio.Reader) (int, int, error) {
-	wTok, err := readToken(br)
+// pngHeader reads a PNG's dimensions from its IHDR chunk, which the PNG
+// specification requires to follow the signature: a 4-byte length (13), the
+// type "IHDR", then big-endian width and height. Only those fixed offsets
+// are read, so no other chunk can push them out of the peek window; the
+// decoder checks the rest of the stream, CRCs included.
+func pngHeader(buf []byte) (Header, error) {
+	h := Header{Magic: "PNG"}
+	ihdr := buf[len(pngMagic):]
+	if len(ihdr) < 16 {
+		return h, fmt.Errorf("pnm: reading png header: %w", io.ErrUnexpectedEOF)
+	}
+	if binary.BigEndian.Uint32(ihdr) != 13 || string(ihdr[4:8]) != "IHDR" {
+		return h, errors.New("pnm: png: first chunk is not a 13-byte IHDR")
+	}
+	w, ht := binary.BigEndian.Uint32(ihdr[8:]), binary.BigEndian.Uint32(ihdr[12:])
+	if w == 0 || ht == 0 || w > math.MaxInt32 || ht > math.MaxInt32 {
+		return h, fmt.Errorf("pnm: png: invalid dimensions %dx%d", w, ht)
+	}
+	h.Width, h.Height = int(w), int(ht)
+	return h, nil
+}
+
+// errNoImage is readHeader's failure on a stream that ends before a magic
+// number; a multi-frame reader takes it as the clean end of the stream.
+var errNoImage = fmt.Errorf("pnm: reading magic: %w", io.EOF)
+
+// readHeader parses a PNM header — magic, width, height and, for graymaps,
+// maxval — and consumes the one whitespace byte after it, so raw rows start
+// at the next byte. It is the one PNM header parser: PeekHeader and every
+// decoder read through it.
+func readHeader(br *bufio.Reader) (Header, error) {
+	var h Header
+	magic, err := readToken(br)
+	switch {
+	case err == io.EOF:
+		return h, errNoImage
+	case err != nil:
+		return h, fmt.Errorf("pnm: reading magic: %w", err)
+	}
+	h.Magic = magic
+	if magic != "P1" && magic != "P2" && magic != "P4" && magic != "P5" {
+		return h, fmt.Errorf("pnm: unsupported magic %q (want P1, P2, P4 or P5)", magic)
+	}
+	if h.Width, err = readField(br, "width", 0, maxDimension); err != nil {
+		return h, fmt.Errorf("pnm: %w", err)
+	}
+	if h.Height, err = readField(br, "height", 0, maxDimension); err != nil {
+		return h, fmt.Errorf("pnm: %w", err)
+	}
+	if magic == "P2" || magic == "P5" {
+		if h.MaxVal, err = readField(br, "maxval", 1, 65535); err != nil {
+			return h, fmt.Errorf("pnm: %w", err)
+		}
+	}
+	return h, nil
+}
+
+// readField reads one decimal token — a header field or a plain-format
+// sample — and checks that it lies in [lo, hi].
+func readField(br *bufio.Reader, name string, lo, hi int) (int, error) {
+	tok, err := readToken(br)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading width: %w", err)
+		return 0, fmt.Errorf("reading %s: %w", name, err)
 	}
-	hTok, err := readToken(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading height: %w", err)
+	v, err := strconv.Atoi(tok)
+	if err != nil || v < lo || v > hi {
+		return 0, fmt.Errorf("invalid %s %q", name, tok)
 	}
-	w, err := strconv.Atoi(wTok)
-	if err != nil || w < 0 || w > maxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid width %q", wTok)
-	}
-	h, err := strconv.Atoi(hTok)
-	if err != nil || h < 0 || h > maxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid height %q", hTok)
-	}
-	return w, h, nil
+	return v, nil
 }
 
 // readToken returns the next whitespace-delimited token, skipping '#'
@@ -371,25 +321,28 @@ func DecodePNG(r io.Reader, level float64) (*binimg.Image, error) {
 }
 
 // DecodePNGInto is DecodePNG into a caller-provided image, reshaped with
-// Reset so its pixel buffer is reused when large enough. (The intermediate
-// image.Image the standard decoder builds is still allocated per call.)
+// Reset so its pixel buffer is reused when large enough:
+// DecodePNGBitmapInto followed by Bitmap.ToImageInto. The intermediate
+// image.Image the standard decoder builds and one packed scratch bitmap are
+// still allocated per call.
 func DecodePNGInto(r io.Reader, level float64, dst *binimg.Image) error {
-	src, err := png.Decode(r)
-	if err != nil {
-		return fmt.Errorf("pnm: decoding png: %w", err)
+	var bm binimg.Bitmap
+	if err := DecodePNGBitmapInto(r, level, &bm); err != nil {
+		return err
 	}
-	b := src.Bounds()
-	dst.Reset(b.Dx(), b.Dy())
-	thresh := level * 65535
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			g := color.Gray16Model.Convert(src.At(x, y)).(color.Gray16)
-			if float64(g.Y) > thresh {
-				dst.Pix[(y-b.Min.Y)*dst.Width+(x-b.Min.X)] = 1
-			}
-		}
-	}
+	bm.ToImageInto(dst)
 	return nil
+}
+
+// DecodePNGBitmapInto decodes a PNG stream into a packed bitmap (reshaped
+// with Reset) with DecodePNG's binarization: the PNG's luminance rows go
+// through the graymap row loop as 16-bit samples.
+func DecodePNGBitmapInto(r io.Reader, level float64, dst *binimg.Bitmap) error {
+	rows, err := newPNGRows(r)
+	if err != nil {
+		return err
+	}
+	return newBandReader(rows, level).readAll(dst)
 }
 
 // EncodePNG writes a label map as a grayscale PNG (same palette rule as

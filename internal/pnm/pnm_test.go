@@ -3,11 +3,14 @@ package pnm_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"image/png"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,10 +217,9 @@ func TestDecodeBadPNG(t *testing.T) {
 	}
 }
 
-// TestDecodePBMBitmapInto checks the packed P4 fast path against the
-// byte-unpacking decoder across word-boundary widths, and that the full
-// round trip (encode P4 -> bitmap decode -> encode P4) is byte-identical
-// to the byte-raster path.
+// TestDecodePBMBitmapInto checks the packed-to-packed P4 decode against
+// the source image across word-boundary widths, and that the full round
+// trip (encode P4 -> bitmap decode -> encode P4) is byte-identical.
 func TestDecodePBMBitmapInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bm := &binimg.Bitmap{} // reused across sizes: exercises Reset pooling
@@ -235,19 +237,13 @@ func TestDecodePBMBitmapInto(t *testing.T) {
 			}
 			raw := buf.Bytes()
 
-			if err := pnm.DecodePBMBitmapInto(bytes.NewReader(raw), bm); err != nil {
+			if err := pnm.DecodeBitmapInto(bytes.NewReader(raw), 0.5, bm); err != nil {
 				t.Fatalf("%dx%d: %v", w, h, err)
 			}
 			if got := bm.ToImage(); !got.Equal(img) {
 				t.Fatalf("%dx%d: bitmap decode disagrees with source\ngot:\n%s\nwant:\n%s", w, h, got, img)
 			}
-			tail := bm.TailMask()
-			for y := 0; y < h; y++ {
-				row := bm.Row(y)
-				if row[len(row)-1]&^tail != 0 {
-					t.Fatalf("%dx%d row %d: padding bits survived decode", w, h, y)
-				}
-			}
+			checkTailBits(t, bm)
 
 			var back bytes.Buffer
 			if err := pnm.EncodePBM(&back, bm.ToImage(), true); err != nil {
@@ -260,61 +256,110 @@ func TestDecodePBMBitmapInto(t *testing.T) {
 	}
 }
 
-func TestDecodePBMBitmapIntoRejectsNonP4(t *testing.T) {
-	for _, src := range []string{"P1\n2 2\n1 0\n0 1\n", "P5\n2 2\n255\nabcd", "Px\n"} {
-		if err := pnm.DecodePBMBitmapInto(strings.NewReader(src), &binimg.Bitmap{}); err == nil {
-			t.Fatalf("accepted %q", src[:2])
+// checkTailBits fails t if any padding bit past the last column of a row of
+// bm is set.
+func checkTailBits(t testing.TB, bm *binimg.Bitmap) {
+	t.Helper()
+	tail := bm.TailMask()
+	for y := 0; y < bm.Height; y++ {
+		if row := bm.Row(y); len(row) > 0 && row[len(row)-1]&^tail != 0 {
+			t.Fatalf("%dx%d row %d: padding bits survived decode", bm.Width, bm.Height, y)
 		}
 	}
 }
 
 func TestDecodePBMBitmapIntoTruncated(t *testing.T) {
-	if err := pnm.DecodePBMBitmapInto(strings.NewReader("P4\n16 4\n\x01\x02"), &binimg.Bitmap{}); err == nil {
+	if err := pnm.DecodeBitmapInto(strings.NewReader("P4\n16 4\n\x01\x02"), 0.5, &binimg.Bitmap{}); err == nil {
 		t.Fatal("truncated P4 accepted")
 	}
 }
 
-// TestDecodeBitmapIntoMatchesBytePath: the one bitmap decoder must agree
-// with the byte-raster decoder, packed, on raw PBM and on 8- and 16-bit raw
-// PGM at thresholds that land on, between and beyond sample values.
+// threshold is the per-sample reference binarization: im2bw keeps samples
+// whose fraction of maxVal is strictly greater than level.
+func threshold(samples []int, w, h, maxVal int, level float64) *binimg.Image {
+	want := binimg.New(w, h)
+	for i, v := range samples {
+		if float64(v) > level*float64(maxVal) {
+			want.Pix[i] = 1
+		}
+	}
+	return want
+}
+
+// TestDecodeBitmapIntoMatchesBytePath: the bitmap decoders and the byte
+// decoders built on them agree with a per-sample reference in this file —
+// the source bits for raw and plain PBM, float64(v) > level*maxVal for raw
+// and plain PGM at 8 and 16 bits and for 16-bit gray PNG — at thresholds
+// that land on, between and beyond sample values.
 func TestDecodeBitmapIntoMatchesBytePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bm := &binimg.Bitmap{} // reused across shapes
+	levels := []float64{0, 0.25, 0.5, 0.999}
 	for _, w := range []int{1, 63, 64, 65, 130} {
 		for _, h := range []int{1, 9} {
+			type body struct {
+				data []byte
+				want func(level float64) *binimg.Image
+			}
+			bodies := map[string]body{}
 			img := binimg.New(w, h)
 			for i := range img.Pix {
 				img.Pix[i] = uint8(rng.Intn(2))
 			}
-			var p4 bytes.Buffer
-			if err := pnm.EncodePBM(&p4, img, true); err != nil {
+			for _, raw := range []bool{true, false} {
+				var buf bytes.Buffer
+				if err := pnm.EncodePBM(&buf, img, raw); err != nil {
+					t.Fatal(err)
+				}
+				bodies[fmt.Sprintf("PBM/raw=%v", raw)] = body{buf.Bytes(), func(float64) *binimg.Image { return img }}
+			}
+			for _, maxVal := range []int{255, 1000} {
+				samples := make([]int, w*h)
+				rawBody := []byte(fmt.Sprintf("P5\n%d %d\n%d\n", w, h, maxVal))
+				plainBody := []byte(fmt.Sprintf("P2\n%d %d\n%d\n", w, h, maxVal))
+				for i := range samples {
+					v := rng.Intn(maxVal + 1)
+					samples[i] = v
+					if maxVal > 255 {
+						rawBody = append(rawBody, byte(v>>8), byte(v))
+					} else {
+						rawBody = append(rawBody, byte(v))
+					}
+					plainBody = fmt.Appendf(plainBody, "%d\n", v)
+				}
+				want := func(level float64) *binimg.Image { return threshold(samples, w, h, maxVal, level) }
+				bodies[fmt.Sprintf("P5/max%d", maxVal)] = body{rawBody, want}
+				bodies[fmt.Sprintf("P2/max%d", maxVal)] = body{plainBody, want}
+			}
+			gray16 := image.NewGray16(image.Rect(0, 0, w, h))
+			samples := make([]int, w*h)
+			for i := range samples {
+				samples[i] = rng.Intn(65536)
+				gray16.SetGray16(i%w, i/w, color.Gray16{Y: uint16(samples[i])})
+			}
+			var pngBuf bytes.Buffer
+			if err := png.Encode(&pngBuf, gray16); err != nil {
 				t.Fatal(err)
 			}
-			bodies := map[string][]byte{"P4": p4.Bytes()}
-			for _, maxVal := range []int{255, 1000} {
-				hdr := fmt.Sprintf("P5\n%d %d\n%d\n", w, h, maxVal)
-				body := []byte(hdr)
-				for i := 0; i < w*h; i++ {
-					v := rng.Intn(maxVal + 1)
-					if maxVal > 255 {
-						body = append(body, byte(v>>8), byte(v))
-					} else {
-						body = append(body, byte(v))
-					}
+			bodies["PNG"] = body{pngBuf.Bytes(), func(level float64) *binimg.Image { return threshold(samples, w, h, 65535, level) }}
+
+			for name, b := range bodies {
+				decodeBits, decodeBytes := pnm.DecodeBitmapInto, pnm.DecodeInto
+				if name == "PNG" {
+					decodeBits, decodeBytes = pnm.DecodePNGBitmapInto, pnm.DecodePNGInto
 				}
-				bodies[fmt.Sprintf("P5/max%d", maxVal)] = body
-			}
-			for name, body := range bodies {
-				for _, level := range []float64{0, 0.25, 0.5, 0.999} {
-					want := &binimg.Image{}
-					if err := pnm.DecodeInto(bytes.NewReader(body), level, want); err != nil {
-						t.Fatal(err)
-					}
-					if err := pnm.DecodeBitmapInto(bytes.NewReader(body), level, bm); err != nil {
+				for _, level := range levels {
+					want := b.want(level)
+					if err := decodeBits(bytes.NewReader(b.data), level, bm); err != nil {
 						t.Fatalf("%s %dx%d: %v", name, w, h, err)
 					}
+					checkTailBits(t, bm)
 					if got := bm.ToImage(); !got.Equal(want) {
-						t.Fatalf("%s %dx%d level %v: bitmap decode disagrees with the byte path", name, w, h, level)
+						t.Fatalf("%s %dx%d level %v: bitmap decode disagrees with the reference", name, w, h, level)
+					}
+					got := &binimg.Image{}
+					if err := decodeBytes(bytes.NewReader(b.data), level, got); err != nil || !got.Equal(want) {
+						t.Fatalf("%s %dx%d level %v: byte decode disagrees with the reference (%v)", name, w, h, level, err)
 					}
 				}
 			}
@@ -323,7 +368,7 @@ func TestDecodeBitmapIntoMatchesBytePath(t *testing.T) {
 	if err := pnm.DecodeBitmapInto(strings.NewReader("P5\n7 0\n255\n"), 0.5, bm); err != nil || bm.Width != 7 || bm.Height != 0 {
 		t.Fatalf("zero-height P5: %dx%d, %v", bm.Width, bm.Height, err)
 	}
-	for _, src := range []string{"P1\n1 1\n1\n", "P5\n4 2\n255\nab"} {
+	for _, src := range []string{"P1\n1 1\n2\n", "P2\n2 1\n9\n3\n", "P5\n4 2\n255\nab", "P6\n1 1\n255\n\x00"} {
 		if err := pnm.DecodeBitmapInto(strings.NewReader(src), 0.5, bm); err == nil {
 			t.Fatalf("accepted %q", src)
 		}
@@ -356,15 +401,39 @@ func TestPeekHeader(t *testing.T) {
 			t.Fatalf("%q: PeekHeader consumed the body", tc.src)
 		}
 	}
-	for _, src := range []string{"", "P6\n1 1\n255\n", "P4\n-1 2\n", "P5\n2 2\n0\n", "P4\n3"} {
+	hugePNG := string(pngHeaderOnly(1<<20, 1<<20))
+	zeroPNG := string(pngHeaderOnly(0, 2))
+	for _, src := range []string{"", "P6\n1 1\n255\n", "P4\n-1 2\n", "P5\n2 2\n0\n", "P4\n3",
+		hugePNG[:20], strings.Replace(hugePNG, "IHDR", "IHDX", 1), zeroPNG} {
 		if _, err := pnm.PeekHeader(bufio.NewReader(strings.NewReader(src))); err == nil {
 			t.Fatalf("%q: malformed header accepted", src)
 		}
 	}
+	if h, err := pnm.PeekHeader(bufio.NewReader(strings.NewReader(hugePNG))); err != nil ||
+		h != (pnm.Header{Magic: "PNG", Width: 1 << 20, Height: 1 << 20}) || h.PayloadBytes() != 1<<37 {
+		t.Fatalf("header-only PNG: %+v, %v", h, err)
+	}
+	// A PNG's dimensions sit at fixed offsets in its leading IHDR, so a
+	// paletted PNG whose 5 KiB tEXt chunk pushes PLTE and IDAT past the
+	// window still has a header, and decodes.
+	pal := image.NewPaletted(image.Rect(0, 0, 9, 2), color.Palette{color.Black, color.White})
+	pal.Pix[3], pal.Pix[10] = 1, 1
+	var enc bytes.Buffer
+	if err := png.Encode(&enc, pal); err != nil {
+		t.Fatal(err)
+	}
+	long := withTextChunk(enc.Bytes(), 5<<10)
+	if h, err := pnm.PeekHeader(bufio.NewReader(bytes.NewReader(long))); err != nil || h.Width != 9 || h.Height != 2 {
+		t.Fatalf("paletted PNG with a long tEXt chunk: %+v, %v", h, err)
+	}
+	var bm binimg.Bitmap
+	if err := pnm.DecodePNGBitmapInto(bytes.NewReader(long), 0.5, &bm); err != nil || bm.At(3, 0) != 1 || bm.At(1, 1) != 1 || bm.ForegroundCount() != 2 {
+		t.Fatalf("paletted PNG with a long tEXt chunk decodes to %+v, %v", bm, err)
+	}
 	// Comments that push the dimensions past the 4096-byte window must
 	// fail, whether the window ends before the last token or inside it: the
-	// window takes
-	// in cuts bytes of the height token "1048576\n"; at 8 it all fits.
+	// window takes in cut bytes of the height token "1048576\n"; at 8 it
+	// all fits.
 	for cut := 0; cut <= 8; cut++ {
 		src := "P4\n#" + strings.Repeat("x", 4096-7-cut) + "\n5 " + "1048576\n" + "rows"
 		h, err := pnm.PeekHeader(bufio.NewReader(strings.NewReader(src)))
@@ -372,4 +441,15 @@ func TestPeekHeader(t *testing.T) {
 			t.Fatalf("window ends %d bytes into the height: %+v, %v", cut, h, err)
 		}
 	}
+}
+
+// withTextChunk splices an n-byte tEXt chunk (valid CRC) into the PNG p
+// right after its IHDR, ahead of every other chunk.
+func withTextChunk(p []byte, n int) []byte {
+	typed := append([]byte("tEXtComment\x00"), bytes.Repeat([]byte("x"), n)...)
+	chunk := binary.BigEndian.AppendUint32(nil, uint32(len(typed)-4))
+	chunk = append(chunk, typed...)
+	chunk = binary.BigEndian.AppendUint32(chunk, crc32.ChecksumIEEE(typed))
+	const ihdrEnd = 8 + 4 + 4 + 13 + 4 // signature, length, type, data, CRC
+	return slices.Concat(p[:ihdrEnd], chunk, p[ihdrEnd:])
 }

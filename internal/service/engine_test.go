@@ -119,8 +119,8 @@ func TestPoolTrafficPerKind(t *testing.T) {
 		{"label-json", "/v1/label", ctPBM, ctJSON, pbm, [poolCount]int64{0, 1, 0, 1, 0, 0, 0}},
 		{"label-pgm", "/v1/label", ctPBM, ctPGM, pbm, [poolCount]int64{0, 1, 1, 1, 0, 0, 0}},
 		{"label-contours", "/v1/label?contours=true", ctPBM, ctJSON, pbm, [poolCount]int64{0, 1, 1, 1, 0, 0, 0}},
-		{"label-paremsp", "/v1/label?alg=paremsp", ctPBM, ctJSON, pbm, [poolCount]int64{1, 0, 1, 1, 0, 0, 0}},
-		{"label-png-in", "/v1/label", ctPNG, ctJSON, pngBody(t, testImage(t)), [poolCount]int64{1, 1, 0, 1, 0, 0, 0}},
+		{"label-paremsp", "/v1/label?alg=paremsp", ctPBM, ctJSON, pbm, [poolCount]int64{1, 1, 1, 1, 0, 0, 0}},
+		{"label-png-in", "/v1/label", ctPNG, ctJSON, pngBody(t, testImage(t)), [poolCount]int64{0, 1, 0, 1, 0, 0, 0}},
 		{"label-gray", "/v1/label?mode=gray", ctPGM, ctJSON, gbody, [poolCount]int64{0, 0, 1, 1, 1, 0, 0}},
 		{"volume", "/v1/volume", ctPGM, ctJSON, vbody, [poolCount]int64{0, 0, 0, 1, 0, 1, 1}},
 		{"stats", "/v1/stats", ctPBM, ctJSON, pbm, [poolCount]int64{}},

@@ -3,15 +3,22 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"image"
+	"image/color"
+	"image/png"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	paremsp "repro"
 	"repro/internal/dataset"
@@ -199,39 +206,50 @@ func TestJobKeyPredictsDefaultID(t *testing.T) {
 	}
 }
 
-// TestPNMHeaderOverBudget413: a PNM header declaring more pixels than the
-// body cap can carry answers 413 before any raster is allocated, on the
-// default bit-packed path and on the byte path alike; the 19-byte 1048576²
-// body would otherwise ask for 128 GiB. Under the cap, a header needing
-// more bytes than the body declares is a truncated body: 400, again before
-// allocating.
+// TestPNMHeaderOverBudget413: an image header declaring more pixels than
+// the body cap can carry answers 413 before any raster is allocated, on
+// every endpoint — the default bit-packed path, the byte path, /v1/stats
+// and /v1/volume (its first frame) alike; the 19-byte 1048576² body would
+// otherwise ask for 128 GiB. A PNG is held to the pixels of a P4 body at
+// the cap (its IHDR is read before png.Decode). Under the cap, a PNM header
+// needing more bytes than the body declares is a truncated body: 400, again
+// before allocating.
 func TestPNMHeaderOverBudget413(t *testing.T) {
 	_, capped := newTestServer(t, Config{Workers: 1}, HandlerConfig{MaxImageBytes: 16 << 20})
 	_, dflt := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
 	for _, srv := range []*httptest.Server{capped, dflt} {
 		post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t))).Body.Close() // warm the client
 	}
+	hugePNG := string(pngHeaderOnly(1<<20, 1<<20))
 	cases := []struct {
-		srv             *httptest.Server
-		query, body, ct string
-		status          int
+		srv            *httptest.Server
+		path, body, ct string
+		status         int
 	}{
-		{capped, "", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{capped, "", "P4\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{capped, "?alg=paremsp", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{capped, "?alg=paremsp", "P4\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{capped, "", "P5\n20000 20000\n255\n", ctPGM, http.StatusRequestEntityTooLarge},
-		{capped, "?alg=paremsp", "P1\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{capped, "?mode=gray", "P5\n5000 5000\n65535\n", ctPGM, http.StatusRequestEntityTooLarge},
-		{dflt, "", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{dflt, "?alg=paremsp", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
-		{dflt, "", "P4\n20000 20000\n", ctPBM, http.StatusBadRequest},
-		{dflt, "?alg=paremsp", "P4\n20000 20000\n", ctPBM, http.StatusBadRequest},
+		{capped, "/v1/label", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label", "P4\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label?alg=paremsp", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label?alg=paremsp", "P4\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label", "P5\n20000 20000\n255\n", ctPGM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label?alg=paremsp", "P1\n20000 20000\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label?mode=gray", "P5\n5000 5000\n65535\n", ctPGM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/label", hugePNG, ctPNG, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/stats", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{capped, "/v1/volume", "P5\n20000 20000\n255\n", ctPGM, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/label", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/label?alg=paremsp", "P4\n1048576 1048576\n", ctPBM, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/label", "P4\n20000 20000\n", ctPBM, http.StatusBadRequest},
+		{dflt, "/v1/label?alg=paremsp", "P4\n20000 20000\n", ctPBM, http.StatusBadRequest},
+		{dflt, "/v1/label?mode=gray", hugePNG, ctPNG, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/stats", "P5\n1048576 1048576\n65535\n", ctPGM, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/stats", "P4\n20000 20000\n", ctPBM, http.StatusBadRequest},
+		{dflt, "/v1/volume", "P5\n1048576 1048576\n65535\n", ctPGM, http.StatusRequestEntityTooLarge},
+		{dflt, "/v1/volume", "P5\n5000 5000\n255\n", ctPGM, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		resp := post(t, c.srv.URL+"/v1/label"+c.query, c.ct, ctJSON, []byte(c.body))
+		resp := post(t, c.srv.URL+c.path, c.ct, ctJSON, []byte(c.body))
 		code := codeInvalidArgument
 		if c.status == http.StatusRequestEntityTooLarge {
 			code = codePayloadTooLarge
@@ -239,7 +257,81 @@ func TestPNMHeaderOverBudget413(t *testing.T) {
 		envelopeOf(t, resp, c.status, code)
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
-			t.Fatalf("%q%s: %d bytes allocated answering %d, want < 1 MiB", c.body, c.query, d, c.status)
+			t.Fatalf("%q %s: %d bytes allocated answering %d, want < 1 MiB", c.body, c.path, d, c.status)
+		}
+	}
+}
+
+// pngHeaderOnly is a PNG cut after its IHDR chunk (with a valid CRC),
+// declaring a w×h 8-bit gray image.
+func pngHeaderOnly(w, h uint32) []byte {
+	ihdr := []byte("IHDR")
+	ihdr = binary.BigEndian.AppendUint32(ihdr, w)
+	ihdr = binary.BigEndian.AppendUint32(ihdr, h)
+	ihdr = append(ihdr, 8, 0, 0, 0, 0) // bit depth 8, gray, deflate, no filter, no interlace
+	out := append([]byte("\x89PNG\r\n\x1a\n"), 0, 0, 0, 13)
+	out = append(out, ihdr...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(ihdr))
+}
+
+// palettedPNG encodes img as a two-entry paletted PNG (black background,
+// white foreground), so the stream carries a PLTE chunk before its IDAT.
+func palettedPNG(t *testing.T, img *paremsp.Image) []byte {
+	t.Helper()
+	p := image.NewPaletted(image.Rect(0, 0, img.Width, img.Height), color.Palette{color.Black, color.White})
+	copy(p.Pix, img.Pix)
+	var buf bytes.Buffer
+	if err := png.Encode(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withTextChunk splices an n-byte tEXt chunk (valid CRC) into the PNG p
+// right after its IHDR, ahead of every other chunk.
+func withTextChunk(p []byte, n int) []byte {
+	typed := append([]byte("tEXtComment\x00"), bytes.Repeat([]byte("x"), n)...)
+	chunk := binary.BigEndian.AppendUint32(nil, uint32(len(typed)-4))
+	chunk = append(chunk, typed...)
+	chunk = binary.BigEndian.AppendUint32(chunk, crc32.ChecksumIEEE(typed))
+	const ihdrEnd = 8 + 4 + 4 + 13 + 4 // signature, length, type, data, CRC
+	return slices.Concat(p[:ihdrEnd], chunk, p[ihdrEnd:])
+}
+
+// TestPNGBodiesOnEveryKind: a PNG body, declared or sniffed, decodes on
+// every endpoint and job kind that takes one, gray and contours jobs
+// included. A paletted PNG whose 5 KiB tEXt chunk pushes PLTE and IDAT past
+// the 4 KiB peek window passes the header check too: only IHDR is read.
+func TestPNGBodiesOnEveryKind(t *testing.T) {
+	_, _, srv := newJobsServer(t, Config{Workers: 1}, jobs.Options{TTL: time.Hour})
+	img := testImage(t)
+	bodies := []struct {
+		name string
+		body []byte
+	}{
+		{"gray", pngBody(t, img)},
+		{"paletted, long tEXt", withTextChunk(palettedPNG(t, img), 5<<10)},
+	}
+	for _, b := range bodies {
+		for _, path := range []string{"/v1/label", "/v1/label?contours=true", "/v1/label?alg=paremsp", "/v1/label?mode=gray"} {
+			resp := post(t, srv.URL+path, ctPNG, ctJSON, b.body)
+			var got labelResponse
+			err := json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("%s %s: status %d, %v", b.name, path, resp.StatusCode, err)
+			}
+			if path != "/v1/label?mode=gray" && got.NumComponents != 5 {
+				t.Fatalf("%s %s: %d components, want 5", b.name, path, got.NumComponents)
+			}
+		}
+		for _, q := range []string{"", "?kind=contours", "?kind=gray", "?mode=gray"} {
+			for _, ct := range []string{ctPNG, "application/octet-stream"} {
+				id := submitJobs(t, srv.URL+"/v1/jobs"+q, ct, b.body).Jobs[0].ID
+				if j := pollJob(t, srv.URL, id, "done"); q != "?kind=gray" && q != "?mode=gray" && j.NumComponents != 5 {
+					t.Fatalf("%s job%s (%s): %d components, want 5", b.name, q, ct, j.NumComponents)
+				}
+			}
 		}
 	}
 }

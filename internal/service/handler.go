@@ -453,11 +453,11 @@ type statsResponse struct {
 	Components    []componentJSON `json:"components"`
 }
 
-// stats handles POST /v1/stats: the request body (raw PBM P4 or raw PGM P5)
-// is streamed through the out-of-core band labeler, so arbitrarily tall
-// images — chunked uploads included — are labeled in O(band) memory and
+// stats handles POST /v1/stats: the request body (PBM or PGM, raw or
+// plain) is streamed through the out-of-core band labeler, so arbitrarily
+// tall images — chunked uploads included — are labeled in O(band) memory and
 // only their component statistics come back. Query parameters: level
-// (binarization threshold for P5), band (band height in rows, 0 = default).
+// (binarization threshold for PGM), band (band height in rows, 0 = default).
 // The response is always JSON; there is no label raster to return.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	if h.draining.Load() {
@@ -633,19 +633,33 @@ type unsupportedMedia struct{ error }
 //     the header is read here);
 //   - volume decodes a stack of P5 frames into a voxel volume;
 //   - the gray modes decode PGM or PNG into a gray raster;
-//   - binary mode decodes PBM, PGM or PNG (ct, or sniffed) and binarizes
-//     it at spec.level. A bit-packed algorithm gets a packed bitmap: raw
-//     PBM and PGM bodies decode straight into it (P4 rows are already 1 bit
-//     per pixel, P5 rows are thresholded into the packed words), other
-//     bodies are packed after decoding. With wantLabels unset its task
-//     folds the statistics (spec.components) from the runs and writes no
-//     label map. Every other algorithm decodes into a byte Image.
+//   - binary mode decodes PBM, PGM or PNG (ct, or sniffed) into a packed
+//     bitmap, binarized at spec.level: P4 rows are already 1 bit per pixel,
+//     every other body is thresholded straight into the packed words. Only
+//     a byte-raster algorithm unpacks it into an Image. With wantLabels
+//     unset a bit-packed task folds the statistics (spec.components) from
+//     the runs and writes no label map.
 //
-// For 2-D images, a PNM header declaring more pixels than the body cap, or
-// a body of known size (>= 0), can carry fails before anything is
-// allocated. On error the borrowed input is already back in its pool.
+// Every endpoint checks the header first (PNM, or a PNG's IHDR; a volume's
+// first frame): one declaring more pixels than the body cap, or a body of
+// known size (>= 0), can carry fails before anything is allocated. On error
+// the borrowed input is already back in its pool.
 func (h *Handler) decodeTask(kind jobs.Kind, spec requestSpec, ct string, body *bufio.Reader, size int64, wantLabels bool) (task, shape, error) {
 	e := h.engine
+	bkind := "pnm"
+	if kind != jobs.KindStats && kind != jobs.KindVolume {
+		var err error
+		if bkind, err = bodyKind(ct, body); err != nil {
+			return task{}, shape{}, unsupportedMedia{err}
+		}
+		if faultinject.Fire(faultinject.DecodeError) {
+			return task{}, shape{}, errors.New("faultinject: decode-error")
+		}
+	}
+	if err := h.checkHeader(body, size); err != nil {
+		return task{}, shape{}, err
+	}
+	isPNG := bkind == "png"
 	switch {
 	case kind == jobs.KindStats:
 		src, err := pnm.NewBandReader(body, spec.level)
@@ -664,31 +678,13 @@ func (h *Handler) decodeTask(kind jobs.Kind, spec requestSpec, ct string, body *
 			sh.density = float64(vol.ForegroundCount()) / float64(len(vol.Vox))
 		}
 		return e.volumeTask(vol, spec.opt), sh, nil
-	}
-
-	bkind, err := bodyKind(ct, body)
-	if err != nil {
-		return task{}, shape{}, unsupportedMedia{err}
-	}
-	if faultinject.Fire(faultinject.DecodeError) {
-		return task{}, shape{}, errors.New("faultinject: decode-error")
-	}
-	raw := false
-	if bkind == "pnm" {
-		hdr, err := h.checkPNMHeader(body, size)
-		if err != nil {
-			return task{}, shape{}, err
-		}
-		raw = hdr.Magic == "P4" || hdr.Magic == "P5"
-	}
-	if spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta {
+	case spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta:
 		g := e.grays.get()
-		if bkind == "pnm" {
-			err = pnm.DecodeGrayInto(body, g)
-		} else {
-			err = pnm.DecodePNGGrayInto(body, g)
+		decode := pnm.DecodeGrayInto
+		if isPNG {
+			decode = pnm.DecodePNGGrayInto
 		}
-		if err != nil {
+		if err := decode(body, g); err != nil {
 			e.grays.put(g)
 			return task{}, shape{}, err
 		}
@@ -697,40 +693,29 @@ func (h *Handler) decodeTask(kind jobs.Kind, spec requestSpec, ct string, body *
 		return e.grayTask(g, spec.opt), shape{width: g.Width, height: g.Height, density: 1}, nil
 	}
 
-	packed := bitPackedAlg(spec.opt.Algorithm)
-	var bm *paremsp.Bitmap
-	if packed && raw {
-		bm = e.bitmaps.get()
-		if err := pnm.DecodeBitmapInto(body, spec.level, bm); err != nil {
-			e.bitmaps.put(bm)
-			return task{}, shape{}, err
-		}
-	} else {
-		img := e.images.get()
-		if bkind == "pnm" {
-			err = pnm.DecodeInto(body, spec.level, img)
-		} else {
-			err = pnm.DecodePNGInto(body, spec.level, img)
-		}
-		if err != nil {
-			e.images.put(img)
-			return task{}, shape{}, err
-		}
-		if !packed {
-			return e.imageTask(img, spec.opt), shape{width: img.Width, height: img.Height, density: img.Density()}, nil
-		}
-		bm = e.bitmaps.get()
-		bm.FromImage(img)
-		e.images.put(img)
+	bm := e.bitmaps.get()
+	decode := pnm.DecodeBitmapInto
+	if isPNG {
+		decode = pnm.DecodePNGBitmapInto
+	}
+	if err := decode(body, spec.level, bm); err != nil {
+		e.bitmaps.put(bm)
+		return task{}, shape{}, err
 	}
 	sh := shape{width: bm.Width, height: bm.Height, density: bm.Density()}
-	if !wantLabels {
+	switch {
+	case !bitPackedAlg(spec.opt.Algorithm):
+		img := e.images.get()
+		bm.ToImageInto(img)
+		e.bitmaps.put(bm)
+		return e.imageTask(img, spec.opt), sh, nil
+	case !wantLabels:
 		return e.bitmapStatsTask(bm, spec.opt, spec.components), sh, nil
 	}
 	return e.bitmapTask(bm, spec.opt), sh, nil
 }
 
-// payloadTooLarge reports a PNM header whose declared pixels need more body
+// payloadTooLarge reports an image header whose declared pixels need more body
 // bytes than the body cap allows (413).
 type payloadTooLarge struct {
 	hdr         pnm.Header
@@ -750,24 +735,25 @@ func bodyLen(r *http.Request) int64 {
 	return -1
 }
 
-// checkPNMHeader reads the PNM header at the front of body without
+// checkHeader reads the image header at the front of body without
 // consuming it and checks the pixel payload it declares before any decoder
 // sizes a raster from it: over the body cap is a 413, and more than a body
-// of known length (size >= 0) carries is a truncated body, a 400.
-func (h *Handler) checkPNMHeader(body *bufio.Reader, size int64) (pnm.Header, error) {
+// of known length (size >= 0) carries is a truncated body, a 400. A PNG is
+// compressed, so only the cap applies to it, as the pixels of a P4 body.
+func (h *Handler) checkHeader(body *bufio.Reader, size int64) error {
 	hdr, err := pnm.PeekHeader(body)
 	if err != nil {
-		return hdr, err
+		return err
 	}
 	need := hdr.PayloadBytes()
 	switch {
 	case need > h.maxBytes:
-		return hdr, &payloadTooLarge{hdr: hdr, need: need, limit: h.maxBytes}
-	case size >= 0 && need > size:
-		return hdr, fmt.Errorf("pnm: %s header declares a %dx%d image needing %d body bytes, but the body holds %d",
+		return &payloadTooLarge{hdr: hdr, need: need, limit: h.maxBytes}
+	case size >= 0 && need > size && hdr.Magic != "PNG":
+		return fmt.Errorf("pnm: %s header declares a %dx%d image needing %d body bytes, but the body holds %d",
 			hdr.Magic, hdr.Width, hdr.Height, need, size)
 	}
-	return hdr, nil
+	return nil
 }
 
 // decodeError writes the HTTP failure for a request-body decode error:

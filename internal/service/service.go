@@ -26,7 +26,7 @@
 //	                The response format follows Accept: JSON component
 //	                stats (default), a PGM or PNG label map, or a CCL1
 //	                label stream (application/x-ccl).
-//	POST /v1/stats  body = raw PBM (P4) or raw PGM (P5), streamed through
+//	POST /v1/stats  body = PBM or PGM, raw or plain, streamed through
 //	                the out-of-core band labeler (internal/band) on the
 //	                same worker pool: arbitrarily tall images are labeled
 //	                in O(band) memory and only JSON component statistics

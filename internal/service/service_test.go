@@ -529,10 +529,11 @@ func TestLabelBitPackedPoolReuse(t *testing.T) {
 	}
 }
 
-// TestLabelBitPackedFallsBackForNonP4 checks that a bit-packed algorithm
-// still labels plain-PBM and PNG bodies through the byte-raster decode.
-func TestLabelBitPackedFallsBackForNonP4(t *testing.T) {
-	_, srv := newTestServer(t, Config{}, HandlerConfig{})
+// TestLabelBitPackedDecodesPlainAndPNG checks that a bit-packed algorithm
+// labels plain-PBM and PNG bodies decoded straight into the packed bitmap,
+// with no byte raster taken from the pool.
+func TestLabelBitPackedDecodesPlainAndPNG(t *testing.T) {
+	eng, srv := newTestServer(t, Config{}, HandlerConfig{})
 	img := testImage(t)
 	var plain bytes.Buffer
 	if err := pnm.EncodePBM(&plain, img, false); err != nil {
@@ -554,6 +555,9 @@ func TestLabelBitPackedFallsBackForNonP4(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || got.NumComponents != 5 {
 			t.Fatalf("%s: status %d, num_components %d", name, resp.StatusCode, got.NumComponents)
 		}
+	}
+	if img := eng.metrics.poolGets[poolImage].Load(); img != 0 {
+		t.Fatalf("image pool gets %d, want 0", img)
 	}
 }
 

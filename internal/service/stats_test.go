@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,12 +68,39 @@ func TestStatsJSONFromPBM(t *testing.T) {
 	}
 }
 
-func TestStatsRejectsNonRawInput(t *testing.T) {
+// TestStatsAcceptsPNMOnly: the band reader streams PBM and PGM, raw or
+// plain, so a plain body gets the same statistics as its raw encoding; a
+// PNG cannot be read a band at a time and is a 400.
+func TestStatsAcceptsPNMOnly(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, HandlerConfig{})
 	resp := post(t, srv.URL+"/v1/stats", "image/png", "", pngBody(t, testImage(t)))
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("PNG body: status %d, want 400", resp.StatusCode)
+	}
+	img := testImage(t)
+	var plain bytes.Buffer
+	if err := pnm.EncodePBM(&plain, img, false); err != nil {
+		t.Fatal(err)
+	}
+	plainGray := fmt.Appendf(nil, "P2\n%d %d\n1\n", img.Width, img.Height)
+	for _, v := range img.Pix {
+		plainGray = fmt.Appendf(plainGray, "%d\n", v)
+	}
+	stats := func(name string, body []byte) statsBody {
+		resp := post(t, srv.URL+"/v1/stats", ctPBM, "", body)
+		defer resp.Body.Close()
+		var got statsBody
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s body: status %d, %v", name, resp.StatusCode, err)
+		}
+		return got
+	}
+	want := stats("P4", pbmBody(t, img))
+	for name, body := range map[string][]byte{"P1": plain.Bytes(), "P2": plainGray} {
+		if got := stats(name, body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s body: %+v, want %+v", name, got, want)
+		}
 	}
 }
 
